@@ -165,10 +165,32 @@ type churnSpec struct {
 	Add    []demandSpec `json:"add,omitempty"`
 }
 
+// maxBodyBytes caps every request body. At roughly 40 bytes per demand in
+// the JSON shapes above, 8 MiB still admits instances of about two hundred
+// thousand demands; a hostile or runaway body is cut off at the cap
+// instead of being buffered whole.
+const maxBodyBytes = 8 << 20
+
+// decodeBody decodes the size-capped JSON request body into v. On failure
+// it writes the error response itself — 413 past the cap, 400 for any
+// other decode error — and returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	var tooLarge *http.MaxBytesError
+	switch {
+	case err == nil:
+		return true
+	case errors.As(err, &tooLarge):
+		writeErr(w, http.StatusRequestEntityTooLarge, fmt.Errorf("request body exceeds %d bytes", tooLarge.Limit))
+	default:
+		writeErr(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+	}
+	return false
+}
+
 func (s *server) createInstance(w http.ResponseWriter, r *http.Request) {
 	var spec instanceSpec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+	if !decodeBody(w, r, &spec) {
 		return
 	}
 	opts := treesched.Options{
@@ -251,8 +273,7 @@ func (s *server) churn(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var spec churnSpec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+	if !decodeBody(w, r, &spec) {
 		return
 	}
 	c := treesched.Churn{Remove: spec.Remove}

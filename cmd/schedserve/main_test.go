@@ -205,6 +205,41 @@ func TestHTTPErrors(t *testing.T) {
 	}
 }
 
+// TestHTTPBodyLimit sends bodies past maxBodyBytes to both decoding
+// endpoints: each is refused with 413, and the server keeps serving.
+func TestHTTPBodyLimit(t *testing.T) {
+	srv, _ := startTestServer(t)
+	if status, _ := do(t, "POST", srv.URL+"/v1/instances", map[string]any{
+		"name": "small", "vertices": 4, "trees": [][][2]int{{{0, 1}, {1, 2}, {2, 3}}},
+		"demands": []map[string]any{{"u": 0, "v": 2, "profit": 1}},
+	}); status != http.StatusCreated {
+		t.Fatalf("create: %d", status)
+	}
+	// A syntactically valid prefix that only ends past the cap, so the
+	// decoder must read beyond it.
+	huge := `{"name": "` + strings.Repeat("x", maxBodyBytes) + `"}`
+	for _, path := range []string{"/v1/instances", "/v1/instances/small/churn"} {
+		resp, err := http.Post(srv.URL+path, "application/json", strings.NewReader(huge))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out map[string]any
+		err = json.NewDecoder(resp.Body).Decode(&out)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("%s: decode: %v", path, err)
+		}
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s: status %d (%v), want 413", path, resp.StatusCode, out)
+		}
+	}
+	if status, _ := do(t, "POST", srv.URL+"/v1/instances/small/churn", map[string]any{
+		"add": []map[string]any{{"u": 1, "v": 3, "profit": 2}},
+	}); status != http.StatusOK {
+		t.Fatalf("churn after refused bodies: %d", status)
+	}
+}
+
 // TestMetricsExposition scrapes /metrics exactly the way the CI smoke step
 // does — through validateMetricsURL — and then pins the histogram series a
 // single churn round must produce.

@@ -38,13 +38,14 @@
 // preparation work at two levels, keyed by instance content. Per-tree
 // layered decompositions (keyed by network structure) are reused whenever
 // the same networks reappear; fully prepared item sets — the interned
-// dense dual layout plus the §2 conflict adjacency and its component
-// decomposition — are reused whenever the complete instance recurs, so the
-// steady state skips item building, interning and conflict construction
-// entirely and pays only for the schedule itself:
+// dense dual layout, the §2 conflict incidence (demand/edge group member
+// lists) and its component decomposition — are reused whenever the
+// complete instance recurs, so the steady state skips item building,
+// interning and component construction entirely and pays only for the
+// schedule itself:
 //
 //	s := treesched.NewSolver(treesched.Options{Epsilon: 0.1, Parallelism: 8})
-//	res1, _ := s.Solve(inst1) // decomposes, interns, builds conflicts, caches
+//	res1, _ := s.Solve(inst1) // decomposes, interns, groups conflicts, caches
 //	res2, _ := s.Solve(inst2) // same instance: straight into the schedule
 //
 // Options.Parallelism sets the total worker budget of the solve pipeline;
@@ -57,26 +58,28 @@
 // of §2 decomposes into connected components that never exchange messages,
 // so the epoch/stage/step schedule runs per component on a worker pool and
 // the results are merged back into the serial execution exactly. Within a
-// component: the per-step kernels — the unsatisfied-scan, the conflict
-// subgraph refill, the Luby win-check, the batched raises of a step's MIS,
-// the greedy second phase's feasibility tests, and the λ fold — are
-// data-parallel over the dense index lists, so each component's engine
-// row-partitions them across an allocation-free lane pool. The cost model
-// is simple: a single-component instance puts the whole budget into lanes;
-// a fleet splits it as shard workers × (budget / shard workers), and lanes
-// are always clamped to the host's GOMAXPROCS (rows below a fixed grain
-// run inline, so small components never pay partitioning overhead).
+// component: the per-step kernels — the unsatisfied-scan, the batched
+// raises of a step's MIS, the greedy second phase's feasibility tests, and
+// the λ fold — are data-parallel over the dense index lists, so each
+// component's engine row-partitions them across an allocation-free lane
+// pool. The MIS election itself runs on the coordinator, over the conflict
+// incidence rather than a pairwise adjacency: an item beats every live
+// neighbor iff it is the (priority, index)-minimum live member of each of
+// its demand and edge groups, so a Luby round costs O(Σ|path|). The cost
+// model is simple: a single-component instance puts the whole budget into
+// lanes; a fleet splits it as shard workers × (budget / shard workers),
+// and lanes are always clamped to the host's GOMAXPROCS (rows below a
+// fixed grain run inline, so small components never pay partitioning
+// overhead).
 //
 // Both levels are bitwise invisible. Lane kernels only read shared state
 // and write per-row slots; every cross-row decision — collecting scan hits,
-// eliminating Luby losers, committing greedy steps — happens on the
-// coordinator in ascending row order, identical to the serial loop. A
-// step's MIS members are pairwise conflict-free (disjoint demand slots,
-// disjoint edge sets), so its raises commute exactly; Luby winners are
-// provably pairwise non-adjacent, so marking them in any order is the
-// serial result; λ is a pure min, exact in any association; and the Luby
-// draws themselves stay sequential per owner stream, so draw order is
-// independent of worker count. Consequently any Parallelism (and the
+// electing the MIS, committing greedy steps — happens on the coordinator
+// in ascending row order, identical to the serial loop. A step's MIS
+// members are pairwise conflict-free (disjoint demand slots, disjoint edge
+// sets), so its raises commute exactly; λ is a pure min, exact in any
+// association; and the Luby draws stay sequential per owner stream, so
+// draw order is independent of worker count. Consequently any Parallelism (and the
 // serial engine) produce bit-identical selections, profit, λ, dual bound
 // and trace — asserted across worker counts {1..8} × modes × seeds ×
 // decomposition shapes by the intra-parallelism suite — and warm-start
@@ -111,14 +114,12 @@
 //
 // # Incremental state: Sessions, deltas, and their invariants
 //
-// Preparation — interning the dense layout and building the §2 conflict
-// adjacency — is fused into one pass: the interned demand slots and edge
-// indices double as the conflict grouping (no second hashing of the same
-// keys), the serial build discovers each conflicting pair once at its
-// larger member (the smaller-neighbor prefix of every row is recovered by
-// mirroring the suffixes, never by sorting), and edge groups whose member
-// lists are identical — series edges traversed by exactly the same paths —
-// collapse to one representative before the quadratic scans.
+// Preparation — interning the dense layout and grouping items by shared
+// demand and shared edge — is fused into one linear pass: the interned
+// demand slots and edge indices double as the conflict grouping (no second
+// hashing of the same keys). The groups are the whole §2 conflict
+// structure: the elections and the component decomposition run over them
+// directly, and no pairwise adjacency is built on the solve path.
 //
 // For churning workloads the prepared state is a value to update, not to
 // rebuild. Solver.Session pins a solver to one instance whose networks are
@@ -134,23 +135,23 @@
 //     cannot influence a raise, a satisfaction test, or the dual objective
 //     (which sums by sorted external key; adding a zero-valued stale slot
 //     is exact);
-//   - the member lists and adjacency rows of exactly the groups and items
-//     the churn reached: rows filter out departed neighbors (preserving
-//     their sort order) and merge in arriving ones (assigned in ascending
-//     id order), so nothing is re-sorted or rescanned from its groups;
+//   - the member lists of exactly the groups the churn reached: they
+//     filter out departed members (preserving their sort order) and merge
+//     in arriving ones (assigned in ascending id order), so nothing is
+//     re-sorted;
 //   - the lazy shard decomposition, which refreshes on the next parallel
 //     run reusing every component the churn never touched.
 //
 // Determinism is unchanged: a Session's solve is bitwise identical to
 // preparing its current item set from scratch, at every worker count — the
 // incremental-state suite (internal/engine delta tests and fuzz target)
-// asserts adjacency, components, layout semantics, and solve results after
-// arbitrary delta sequences. The delta path pays off in proportion to
+// asserts member lists, components, layout semantics, and solve results
+// after arbitrary delta sequences. The delta path pays off in proportion to
 // churn locality: on a fleet of disjoint networks where a round churns one
 // network, the preparation update runs an order of magnitude faster than a
 // rebuild; on a single fully-contended component, churning 5% of the
-// demands changes most conflict rows, and the update's advantage narrows
-// to the constant-factor edit cost (~2x).
+// demands reaches most groups, and the update's advantage over the linear
+// rebuild narrows to a constant factor.
 //
 // Sessions are observable: Session.Stats reports the live set size, the
 // stale-slot accretion since the last full preparation, the compaction
@@ -412,10 +413,10 @@
 //     interfaces — locking in the allocation-free shape of the
 //     solve/merge/Apply loops (PRs 4–6). The raise primitives
 //     (dual.RaiseUnit/RaiseNarrow/AddBeta/MergeSlots), the per-step
-//     scans (state.unsatisfied/subgraph), the greedy second phase, the
+//     scan (state.unsatisfied), the incidence kernels (electLuby,
+//     electGreedy, incidenceComponents), the greedy second phase, the
 //     shard merge, Prepared.Apply, and the row-partitioned lane kernels
-//     (state.raiseAll, mis.LubyPool, the partitioned greedy commit) are
-//     annotated.
+//     (state.raiseAll, the partitioned greedy commit) are annotated.
 //   - waiverhygiene: every //schedvet: directive must parse, bind, and
 //     pull its weight. The waiver grammar is
 //     `//schedvet:ok <analyzer> <reason>` on the flagged line or the

@@ -142,7 +142,7 @@ func RunOpts(items []engine.Item, cfg engine.Config, opts Options) (*Result, err
 	if rec != nil {
 		tok = rec.StartSpan(engine.PhaseDistSetup)
 	}
-	prep := engine.PrepareWorkers(items, workers)
+	prep := engine.Prepare(items)
 	ctx, err := buildContext(prep, cfg, plan, budget)
 	if err != nil {
 		return nil, err

@@ -1,34 +1,36 @@
 package engine
 
-import (
-	"runtime"
-	"slices"
-	"sync"
-)
+import "slices"
 
-// This file implements the §2 conflict-adjacency construction: two items
+// This file implements the engine's conflict structure. Under §2 two items
 // conflict iff they share a demand or share an edge (which implies the same
-// resource, since edge keys embed the resource id).
+// resource, since edge keys embed the resource id), so the conflict graph
+// is fully described by its incidence: each item belongs to one demand
+// group (its interned demand slot) and one edge group per path edge (its
+// interned edge indices), and the conflict graph is the union of the
+// cliques those groups induce. The engine never materializes the cliques.
+// Incidence grows linearly in Σ|path|, while the pairwise adjacency grows
+// quadratically in group size — on contended instances the adjacency is
+// tens of times larger, and building it would dominate a cold solve.
 //
-// The construction is fused with the dense layout: buildLayout has already
-// interned every demand to a slot and every path edge to an int32 index, so
-// grouping items by shared demand / shared edge is pure array indexing over
-// the precomputed ItemViews — no map[int] or map[model.EdgeKey] hashing and
-// no second traversal of items[i].Edges. The member lists double as the
-// incremental-update index of Prepared.Apply: when a delta adds or removes
-// items, the affected rows are rebuilt from exactly these lists.
+// The groups of an item are read straight off its ItemView (Slot and
+// Edges), so the per-step kernels below need no structure beyond the dense
+// layout. Every graph algorithm the solve needs is a rewriting over groups:
 //
-// Member lists are ascending (items are scanned in id order), which the
-// serial path exploits to do the quadratic work once per unordered pair: the
-// scan at item w visits only members v < w of w's groups (early exit on the
-// ascending list) and emits both directions of the edge. Each row then
-// consists of an unsorted prefix of smaller ids written during its own scan
-// and an ascending suffix of larger ids appended by later scans, so one
-// prefix sort per row restores the globally sorted, deduplicated rows the
-// two-sided scan produced. The worker-pool path keeps the two-sided
-// row-partitioned scan (each worker owns the rows in its range and binary
-// searches into the member lists), so the adjacency is identical — and the
-// total work near-constant — at any worker count.
+//   - Luby: an item beats every live neighbor iff it is the (priority,
+//     index)-minimum live member of each of its groups, so an election
+//     round is one per-group-min pass, one winner pass, and one kill pass
+//     over the winners' groups (electLuby);
+//   - greedy MIS: an ascending scan with a per-group taken mark
+//     (electGreedy);
+//   - components: union-find over the group member lists
+//     (incidenceComponents).
+//
+// The member lists (buildMembers) are the group → items direction of the
+// incidence. Prepared keeps them as the incremental-update index of Apply
+// and as the input of the component decomposition. The pairwise adjacency
+// survives only as a lazily built, off-solve-path view for callers that
+// need explicit neighbor lists (Prepared.Conflicts, BuildConflicts).
 
 // buildMembers groups items by demand slot and by edge index: members[g] is
 // the ascending list of item ids in dense group g. Exact-sized in two passes
@@ -65,6 +67,222 @@ func buildMembers(views []ItemView, numDemands, numEdges int) (demandMembers, ed
 		}
 	}
 	return demandMembers, edgeMembers
+}
+
+// electLuby runs Luby's algorithm on the conflict graph restricted to u
+// (ascending item ids) and returns membership by position in u plus the
+// number of iterations: bitwise what mis.Luby returns over the restricted
+// adjacency when position i draws from the stream of u[i]'s owner slot.
+// Each iteration draws one priority per live position in ascending order
+// (the per-owner draw order is the bit-compatibility contract with package
+// dist), then makes three passes over the live positions' groups:
+//
+//   - min: every group records its (priority, position)-minimum live
+//     member. Positions ascend, so a later member displaces the current
+//     minimum only with a strictly smaller priority — ties go to the
+//     smaller index, as in mis.Luby;
+//   - win: a position wins iff it is the minimum of each of its groups,
+//     i.e. it beats every live neighbor. Winners join the set and stamp
+//     their groups taken (no two winners share a group);
+//   - kill: every live position with a taken group is a winner's neighbor
+//     and leaves the live set.
+//
+// An iteration costs O(Σ|path|) over the live positions, where the
+// pairwise win check costs O(Σ degree).
+//
+//schedvet:hot
+func electLuby(lay *layout, u []int, scr *solveScratch) (in []bool, iters int) {
+	views := lay.views
+	nd := scr.growGroups(lay)
+	gStamp, gMin := scr.gStamp, scr.gMin
+	prio := scratch(&scr.prio, len(u), false)
+	live := scratch(&scr.live, len(u), false)
+	in = scratch(&scr.in, len(u), true)
+	for i := range live {
+		live[i] = true
+	}
+	for left := len(u); left > 0; {
+		iters++
+		for i, id := range u {
+			if live[i] {
+				prio[i] = scr.streams[lay.ownerSlot[id]].Float64()
+			}
+		}
+		mark := scr.nextStamp()
+		for i, id := range u {
+			if !live[i] {
+				continue
+			}
+			v, p := &views[id], int32(i)
+			offerMin(gStamp, gMin, prio, v.Slot, p, mark)
+			for _, e := range v.Edges {
+				offerMin(gStamp, gMin, prio, nd+e, p, mark)
+			}
+		}
+		taken := scr.nextStamp()
+		for i, id := range u {
+			if live[i] && minOfGroups(gMin, &views[id], nd, int32(i)) {
+				in[i], live[i] = true, false
+				left--
+				stampGroups(gStamp, &views[id], nd, taken)
+			}
+		}
+		for i, id := range u {
+			if live[i] && hasStamp(gStamp, &views[id], nd, taken) {
+				live[i] = false
+				left--
+			}
+		}
+	}
+	return in, iters
+}
+
+// electGreedy computes the lexicographically-first maximal independent set
+// of the conflict graph restricted to u (ascending item ids), by position:
+// bitwise mis.Greedy over the restricted adjacency. A position joins iff
+// none of its groups was taken by an earlier member.
+//
+//schedvet:hot
+func electGreedy(lay *layout, u []int, scr *solveScratch) []bool {
+	nd := scr.growGroups(lay)
+	in := scratch(&scr.in, len(u), true)
+	taken := scr.nextStamp()
+	for i, id := range u {
+		v := &lay.views[id]
+		if !hasStamp(scr.gStamp, v, nd, taken) {
+			in[i] = true
+			stampGroups(scr.gStamp, v, nd, taken)
+		}
+	}
+	return in
+}
+
+// offerMin makes position p the minimum of group g when g has no minimum
+// in the current pass yet or p's priority is strictly smaller.
+func offerMin(gStamp []uint32, gMin []int32, prio []float64, g, p int32, mark uint32) {
+	if gStamp[g] != mark || prio[p] < prio[gMin[g]] {
+		gStamp[g] = mark
+		gMin[g] = p
+	}
+}
+
+// minOfGroups reports whether position p is the recorded minimum of every
+// group of v (edge group e lives at index nd+e).
+func minOfGroups(gMin []int32, v *ItemView, nd, p int32) bool {
+	if gMin[v.Slot] != p {
+		return false
+	}
+	for _, e := range v.Edges {
+		if gMin[nd+e] != p {
+			return false
+		}
+	}
+	return true
+}
+
+// stampGroups stamps every group of v.
+func stampGroups(gStamp []uint32, v *ItemView, nd int32, stamp uint32) {
+	gStamp[v.Slot] = stamp
+	for _, e := range v.Edges {
+		gStamp[nd+e] = stamp
+	}
+}
+
+// hasStamp reports whether any group of v carries the stamp.
+func hasStamp(gStamp []uint32, v *ItemView, nd int32, stamp uint32) bool {
+	if gStamp[v.Slot] == stamp {
+		return true
+	}
+	for _, e := range v.Edges {
+		if gStamp[nd+e] == stamp {
+			return true
+		}
+	}
+	return false
+}
+
+// incidenceComponents returns the connected components of the conflict
+// graph over items 0..n-1 from its group member lists, exactly as
+// ConflictComponents returns them from the adjacency: ascending members,
+// components ordered by smallest member. It is union-find over groups:
+// each group's members join the tree of its first (smallest) member, and a
+// union links the larger root under the smaller, so every parent pointer
+// points to a smaller id. One ascending pass therefore compresses the
+// forest completely and numbers the components by smallest member, and
+// filling them in ascending id order leaves every member list sorted.
+//
+//schedvet:hot
+func incidenceComponents(n int, demandMembers, edgeMembers [][]int32, scr *solveScratch) [][]int {
+	parent := scratch(&scr.parent, n, false)
+	for i := range parent {
+		parent[i] = int32(i)
+	}
+	for _, m := range demandMembers {
+		unionGroup(parent, m)
+	}
+	for _, m := range edgeMembers {
+		unionGroup(parent, m)
+	}
+	label := scratch(&scr.label, n, false)
+	k := int32(0)
+	for v, p := range parent {
+		if p == int32(v) {
+			label[v] = k
+			k++
+			continue
+		}
+		root := parent[p] // p < v is already compressed to its root
+		parent[v] = root
+		label[v] = label[root]
+	}
+	sizes := parent[:k] // the forest is no longer needed
+	clear(sizes)
+	for _, c := range label {
+		sizes[c]++
+	}
+	comps := make([][]int, k)
+	for c := range comps {
+		comps[c] = make([]int, 0, sizes[c])
+	}
+	for v, c := range label {
+		comps[c] = append(comps[c], v)
+	}
+	return comps
+}
+
+// unionGroup joins every member of one group into a single tree whose root
+// is the smallest id of the merged sets.
+func unionGroup(parent []int32, members []int32) {
+	if len(members) < 2 {
+		return
+	}
+	r := find(parent, members[0])
+	for _, x := range members[1:] {
+		if s := find(parent, x); s < r {
+			parent[r] = s
+			r = s
+		} else if s > r {
+			parent[s] = r
+		}
+	}
+}
+
+// find returns the root of x, halving the path on the way.
+func find(parent []int32, x int32) int32 {
+	for parent[x] != x {
+		parent[x] = parent[parent[x]]
+		x = parent[x]
+	}
+	return x
+}
+
+// ItemComponents returns the connected components of the items' conflict
+// graph — identical to ConflictComponents(BuildConflicts(items)) — computed
+// over the demand/edge incidence without building the pairwise adjacency.
+func ItemComponents(items []Item) [][]int {
+	lay := buildLayout(items)
+	dm, em := buildMembers(lay.views, lay.ix.NumDemands(), lay.ix.NumEdges())
+	return incidenceComponents(len(items), dm, em, &solveScratch{})
 }
 
 // dedupEdgeGroups maps every edge index to a representative with the exact
@@ -105,26 +323,6 @@ func dedupEdgeGroups(edgeMembers [][]int32) []int32 {
 		rep[e] = r
 	}
 	return rep
-}
-
-// conflictsFromMembers builds the adjacency over n items from the dense
-// group member lists. Serial and worker-pool paths produce identical rows:
-// sorted, deduplicated, exact-sized.
-func conflictsFromMembers(n int, views []ItemView, demandMembers, edgeMembers [][]int32, workers int) [][]int {
-	// More workers than processors (or tiny inputs) would add pure
-	// scheduling overhead: the passes divide CPU-bound work, so cap at what
-	// the machine can actually run at once.
-	if workers > runtime.GOMAXPROCS(0) {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers < 1 || n < 2*workers {
-		workers = 1
-	}
-	rep := dedupEdgeGroups(edgeMembers)
-	if workers == 1 {
-		return conflictsSerial(n, views, demandMembers, edgeMembers, rep)
-	}
-	return conflictsPartitioned(n, views, demandMembers, edgeMembers, rep, workers)
 }
 
 // conflictsSerial is the half-scan build: each unordered conflicting pair is
@@ -235,101 +433,13 @@ func conflictsSerial(n int, views []ItemView, demandMembers, edgeMembers [][]int
 	return adj
 }
 
-// conflictsPartitioned is the two-sided scan row-partitioned over a worker
-// pool: each worker owns the rows in its range, visits every item's groups,
-// and binary searches into the ascending member lists so its share of the
-// quadratic work is proportional to its rows. The last[]-dedup arrays are
-// safely shared: entry v is only ever touched by the worker owning row v.
-func conflictsPartitioned(n int, views []ItemView, demandMembers, edgeMembers [][]int32, rep []int32, workers int) [][]int {
-	adj := make([][]int, n)
-	last := make([]int32, n)
-	counts := make([]int32, n)
-	scanRange := func(members []int32, lo32, hi32, w32 int32, visit func(v int32)) {
-		i := 0
-		if lo32 > 0 {
-			i, _ = slices.BinarySearch(members, lo32)
-		}
-		for ; i < len(members) && members[i] < hi32; i++ {
-			if v := members[i]; v != w32 && last[v] != w32 {
-				last[v] = w32
-				visit(v)
-			}
-		}
-	}
-	pass := func(lo, hi int, visit func(v int32, w int)) {
-		lo32, hi32 := int32(lo), int32(hi)
-		for w := 0; w < n; w++ {
-			vw := &views[w]
-			w32 := int32(w)
-			scanRange(demandMembers[vw.Slot], lo32, hi32, w32, func(v int32) { visit(v, w) })
-			for _, e := range vw.Edges {
-				if rep[e] != e {
-					continue
-				}
-				scanRange(edgeMembers[e], lo32, hi32, w32, func(v int32) { visit(v, w) })
-			}
-		}
-	}
-	var offsets, flat, next []int
-	inParallel := func(visit func(v int32, w int)) {
-		var wg sync.WaitGroup
-		chunk := (n + workers - 1) / workers
-		for lo := 0; lo < n; lo += chunk {
-			hi := min(lo+chunk, n)
-			wg.Add(1)
-			go func(lo, hi int) {
-				defer wg.Done()
-				pass(lo, hi, visit)
-			}(lo, hi)
-		}
-		wg.Wait()
-	}
-	resetLast := func() {
-		for i := range last {
-			last[i] = -1
-		}
-	}
-	resetLast()
-	inParallel(func(v int32, w int) { counts[v]++ })
-	offsets = make([]int, n+1)
-	for v := 0; v < n; v++ {
-		offsets[v+1] = offsets[v] + int(counts[v])
-	}
-	flat = make([]int, offsets[n])
-	next = make([]int, n)
-	copy(next, offsets[:n])
-	resetLast()
-	// The outer loop runs w ascending, so each row fills with ascending w:
-	// rows come out sorted and need no per-row sort.
-	inParallel(func(v int32, w int) {
-		flat[next[v]] = w
-		next[v]++
-	})
-	for v := 0; v < n; v++ {
-		adj[v] = flat[offsets[v]:offsets[v+1]:offsets[v+1]]
-	}
-	return adj
-}
-
 // BuildConflicts constructs the conflict adjacency of §2 over the items:
 // two items conflict iff they share a demand or they share an edge (which
-// implies the same resource, since edge keys embed the resource id).
+// implies the same resource, since edge keys embed the resource id). Rows
+// are sorted and deduplicated. It is the pairwise reference the incidence
+// kernels are tested against; the solve path never builds it.
 func BuildConflicts(items []Item) [][]int {
-	return buildConflicts(items, 1)
-}
-
-// BuildConflictsWorkers is BuildConflicts computed on a worker pool of the
-// given size; the adjacency is identical at any worker count.
-func BuildConflictsWorkers(items []Item, workers int) [][]int {
-	return buildConflicts(items, workers)
-}
-
-// buildConflicts interns the items into a throwaway layout and builds the
-// adjacency from its dense indices. Callers that already hold a layout
-// (PrepareWorkers) call buildMembers/conflictsFromMembers directly and skip
-// the duplicate interning.
-func buildConflicts(items []Item, workers int) [][]int {
 	lay := buildLayout(items)
 	dm, em := buildMembers(lay.views, lay.ix.NumDemands(), lay.ix.NumEdges())
-	return conflictsFromMembers(len(items), lay.views, dm, em, workers)
+	return conflictsSerial(len(items), lay.views, dm, em, dedupEdgeGroups(em))
 }

@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"slices"
+	"sync"
 )
 
 // This file implements the incremental re-solve path: a Prepared item set
@@ -19,7 +20,7 @@ import (
 //     the new length move down into freed slots, the remaining freed slots
 //     take the additions, and the rest appends. A displaced survivor is
 //     treated exactly like a removal at its old id plus an arrival at its
-//     new one, which keeps every patched row and member list sorted by
+//     new one, which keeps every patched member list sorted by
 //     construction (below);
 //   - the dense layout extends monotonically — removed items leave their
 //     interned demand slots and edge indices behind. Stale slots hold zero
@@ -29,18 +30,19 @@ import (
 //     stale slot is exact). This is what makes incremental solve results
 //     bitwise identical to a from-scratch Prepare over the same item slice,
 //     even though the slot numbering differs;
-//   - the group member lists and the conflict adjacency are patched, not
-//     rebuilt. Only the groups of departed (removed or displaced) and
-//     arriving items rewrite their member lists, and only rows that lose a
-//     departed neighbor or gain an arriving one are rewritten — by
-//     filtering (which preserves their sort order) and merging in the
-//     arrivals (whose new ids are assigned in ascending order), so no row
-//     or member list is ever re-sorted, let alone rescanned from its
-//     groups. Untouched rows are reused verbatim, which is where the
-//     delta-vs-rebuild speedup comes from;
-//   - the lazily-built shard decomposition is marked stale; the next
-//     ensureShards recomputes the components and reuses the relabeled shard
-//     of every component the churn never reached.
+//   - the group member lists — the group side of the conflict incidence
+//     (conflicts.go) — are patched, not rebuilt. Only the groups of
+//     departed (removed or displaced) and arriving items rewrite their
+//     member lists, by filtering (which preserves their sort order) and
+//     merging in the arrivals (whose new ids are assigned in ascending
+//     order), so no member list is ever re-sorted. The item side needs no
+//     patch at all: it is the views themselves. No pairwise adjacency is
+//     maintained; a cached one (Prepared.Conflicts) is simply dropped;
+//   - the lazily-built shard decomposition is marked stale, with the churn
+//     reach — every member of a group of a departed, displaced or arriving
+//     item — recorded as touched; the next ensureShards recomputes the
+//     components and reuses the relabeled shard of every component the
+//     churn never reached.
 //
 // Apply mutates the Prepared (including the item slice it was constructed
 // over) and must not overlap a Run/RunParallel or another Apply on the same
@@ -59,32 +61,25 @@ type Delta struct {
 // applyScratch holds Apply's transient O(n) bookkeeping, kept on the
 // Prepared and reused across Applies (which never overlap, per the contract
 // above). Steady churn rounds then allocate only what the post-churn state
-// retains — patched rows, member-list growth, the touched mark — instead of
-// ~a dozen set-sized marker arrays per round.
+// retains — member-list growth, the touched mark — instead of several
+// set-sized marker arrays per round.
 type applyScratch struct {
-	removed    []bool
-	renum      []int
-	dirtyOld   []bool
-	dTouched   []bool
-	eTouched   []bool
-	dBound     []int32
-	eBound     []int32
-	isAdded    []bool
-	stamp      []int32
-	dirtyNew   []bool
-	extras     [][]int32 // entries are reset to length 0 (capacity kept) after use
-	extrasUsed []int32
-	movers     []int
-	free       []int
-	appendedD  []int32
-	appendedE  []int32
-	tail       []int32
-	buf        []int
+	removed   []bool
+	renum     []int
+	dTouched  []bool
+	eTouched  []bool
+	dBound    []int32
+	eBound    []int32
+	movers    []int
+	free      []int
+	appendedD []int32
+	appendedE []int32
+	tail      []int32
 }
 
 // scratch reslices *buf to length n, allocating only when capacity is
 // short. reset clears the reslice; callers that overwrite every entry
-// anyway (renum, the -1-filled bound and stamp arrays) skip it.
+// anyway (renum, the -1-filled bound arrays) skip it.
 func scratch[T any](buf *[]T, n int, reset bool) []T {
 	if cap(*buf) < n {
 		*buf = make([]T, n)
@@ -130,9 +125,9 @@ func checkDelta(d Delta, n int, removed []bool) error {
 
 // Apply updates the prepared state to the post-churn item set. On error the
 // Prepared is unchanged. The resulting state is equivalent to
-// PrepareWorkers over the resulting Items() slice: identical adjacency,
-// identical components, and bitwise-identical solve results at every worker
-// count.
+// Prepare over the resulting Items() slice: the same conflict groups (up to
+// slot numbering), identical components, and bitwise-identical solve
+// results at every worker count.
 //
 //schedvet:hot
 func (p *Prepared) Apply(d Delta) error {
@@ -158,7 +153,7 @@ func (p *Prepared) Apply(d Delta) error {
 	// free slots — including the appended range when the set grows — take
 	// the additions in order, so len(free) - len(movers) == len(d.Add)
 	// always, and every arriving id (mover or addition) exceeds no later
-	// one. drop marks the ids that disappear from rows and member lists:
+	// one. drop marks the ids that disappear from member lists:
 	// removals and the movers' old ids.
 	movers, free := scr.movers[:0], scr.free[:0]
 	for i := newN; i < n; i++ {
@@ -187,20 +182,6 @@ func (p *Prepared) Apply(d Delta) error {
 	for i, m := range movers {
 		renum[m] = free[i]
 		drop[m] = true
-	}
-
-	// Rows referencing a departed id must filter it out. Marked in old ids;
-	// departed items caught in the mark are filtered below.
-	dirtyOld := scratch(&scr.dirtyOld, n, true)
-	for _, r := range d.Remove {
-		for _, w := range p.adj[r] {
-			dirtyOld[w] = true
-		}
-	}
-	for _, m := range movers {
-		for _, w := range p.adj[m] {
-			dirtyOld[w] = true
-		}
 	}
 
 	// Mark the groups whose member lists change: those of the removed and
@@ -312,132 +293,13 @@ func (p *Prepared) Apply(d Delta) error {
 	}
 	scr.appendedD, scr.appendedE, scr.tail = appendedD, appendedE, tail
 
-	// Discover the arriving conflict pairs. A mover reuses its old neighbor
-	// set: its new id lands in each surviving neighbor's extras. An added
-	// item scans its (patched) group member lists once with stamp dedup;
-	// pairs among additions are covered by each side's own row build below.
-	// Extras target new ids and collect in ascending arriving-id order.
-	isAdded := scratch(&scr.isAdded, newN, true)
-	for _, id := range addSlots {
-		isAdded[id] = true
-	}
-	// extras entries keep their capacity across Applies: every entry an
-	// Apply touches is recorded in extrasUsed and reset to length 0 once the
-	// rows are patched, so entries are always empty on entry here.
-	extras := scratch(&scr.extras, newN, false)
-	extrasUsed := scr.extrasUsed[:0]
-	addExtra := func(m, v int32) {
-		if len(extras[m]) == 0 {
-			extrasUsed = append(extrasUsed, m)
-		}
-		extras[m] = append(extras[m], v)
-	}
-	for i, m := range movers {
-		nm := int32(free[i])
-		for _, w := range p.adj[m] {
-			if nw := renum[w]; nw >= 0 {
-				addExtra(int32(nw), nm)
-			}
-		}
-	}
-	stamp := scratch(&scr.stamp, newN, false)
-	for i := range stamp {
-		stamp[i] = -1
-	}
-	for _, id := range addSlots {
-		v := &lay.views[id]
-		id32 := int32(id)
-		for _, m := range p.demandMembers[v.Slot] {
-			if m != id32 && !isAdded[m] && stamp[m] != id32 {
-				stamp[m] = id32
-				addExtra(m, id32)
-			}
-		}
-		for _, e := range v.Edges {
-			for _, m := range p.edgeMembers[e] {
-				if m != id32 && !isAdded[m] && stamp[m] != id32 {
-					stamp[m] = id32
-					addExtra(m, id32)
-				}
-			}
-		}
-	}
-
-	// Patch the adjacency. Clean rows (no departed neighbor, no extras)
-	// move to their new positions verbatim. A dirty survivor row filters
-	// out departed ids in place — surviving neighbors keep their ids, so
-	// order is preserved — and one backward merge folds in its ascending
-	// extras: O(degree), no sort, no group rescan. Only arriving additions
-	// build their rows from the member lists. dirtyNew doubles as the
-	// churn-reach set for shard reuse.
-	dirtyNew := scratch(&scr.dirtyNew, newN, true)
-	newAdj := make([][]int, newN)
-	for w := 0; w < n; w++ {
-		nw := renum[w]
-		if nw < 0 {
-			continue
-		}
-		row := p.adj[w]
-		if !dirtyOld[w] && len(extras[nw]) == 0 {
-			newAdj[nw] = row
-			continue
-		}
-		dirtyNew[nw] = true
-		k := 0
-		for _, x := range row {
-			if !drop[x] {
-				row[k] = x
-				k++
-			}
-		}
-		row = row[:k]
-		if ex := extras[nw]; len(ex) > 0 {
-			row = slices.Grow(row, len(ex))[:k+len(ex)]
-			i, j := k-1, len(ex)-1
-			for t := len(row) - 1; j >= 0; t-- {
-				if i >= 0 && row[i] > int(ex[j]) {
-					row[t] = row[i]
-					i--
-				} else {
-					row[t] = int(ex[j])
-					j--
-				}
-			}
-		}
-		newAdj[nw] = row
-	}
-	buf := scr.buf
-	for _, id := range addSlots {
-		dirtyNew[id] = true
-		v := &lay.views[id]
-		id32 := int32(id)
-		buf = buf[:0]
-		for _, m := range p.demandMembers[v.Slot] {
-			if m != id32 && stamp[m] != -2-id32 {
-				stamp[m] = -2 - id32 // fresh stamp space for the second scan
-				buf = append(buf, int(m))
-			}
-		}
-		for _, e := range v.Edges {
-			for _, m := range p.edgeMembers[e] {
-				if m != id32 && stamp[m] != -2-id32 {
-					stamp[m] = -2 - id32
-					buf = append(buf, int(m))
-				}
-			}
-		}
-		slices.Sort(buf)
-		newAdj[id] = slices.Clone(buf)
-	}
-	p.adj = newAdj
-	scr.buf = buf
-	for _, m := range extrasUsed {
-		extras[m] = extras[m][:0]
-	}
-	scr.extrasUsed = extrasUsed
-
-	// Invalidate the lazy shard decomposition, remembering which items the
-	// churn reached so the next ensureShards can keep untouched shards.
+	// Drop the lazy adjacency, and invalidate the lazy shard decomposition,
+	// remembering which items the churn reached so the next ensureShards
+	// can keep untouched shards. The reach is every member of a group of a
+	// departed, displaced or arriving item: exactly the items whose
+	// neighbor sets (or ids, or contents) changed.
+	p.adj = nil
+	p.adjOnce = sync.Once{}
 	p.shardMu.Lock()
 	if p.shardsBuilt {
 		p.shardsStale = true
@@ -447,13 +309,26 @@ func (p *Prepared) Apply(d Delta) error {
 				nt[nw] = true
 			}
 		}
-		for i := range dirtyNew {
-			if dirtyNew[i] {
-				nt[i] = true
+		reach := func(members []int32) {
+			for _, m := range members {
+				nt[m] = true
 			}
 		}
-		for i := range movers {
-			nt[free[i]] = true
+		for s := range dTouched {
+			if dTouched[s] {
+				reach(p.demandMembers[s])
+			}
+		}
+		for e := range eTouched {
+			if eTouched[e] {
+				reach(p.edgeMembers[e])
+			}
+		}
+		for _, s := range appendedD {
+			reach(p.demandMembers[s])
+		}
+		for _, e := range appendedE {
+			reach(p.edgeMembers[e])
 		}
 		p.touched = nt
 	}

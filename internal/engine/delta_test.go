@@ -10,10 +10,10 @@ import (
 
 // The incremental-state suite: any sequence of Apply deltas must leave a
 // Prepared indistinguishable from PrepareWorkers over the same item slice —
-// identical conflict adjacency and components, a layout that maps every
-// item to the same external demand/edge/owner keys, member lists that match
-// a recomputation from the items, and bitwise-identical solve results at
-// every worker count.
+// identical (lazily rebuilt) conflict adjacency and components, a layout
+// that maps every item to the same external demand/edge/owner keys, member
+// lists that match a recomputation from the items, and bitwise-identical
+// solve results at every worker count.
 
 // deltaPoolItems builds a pool of items to churn through: a contended tree
 // instance whose items are reindexed on their way in and out of the set.
@@ -46,13 +46,15 @@ func checkAgainstScratch(t *testing.T, p *Prepared, seed int64, workers []int) {
 	t.Helper()
 	scratch := PrepareWorkers(reindex(p.items), 1)
 
-	// Adjacency, element for element.
-	if len(p.adj) != len(scratch.adj) {
-		t.Fatalf("adjacency size %d, scratch %d", len(p.adj), len(scratch.adj))
+	// The lazy adjacency, rebuilt from the patched member lists (any copy
+	// cached before an Apply must have been dropped), element for element.
+	got, want := p.Conflicts(), scratch.Conflicts()
+	if len(got) != len(want) {
+		t.Fatalf("adjacency size %d, scratch %d", len(got), len(want))
 	}
-	for i := range p.adj {
-		if !slices.Equal(p.adj[i], scratch.adj[i]) {
-			t.Fatalf("row %d: %v, scratch %v", i, p.adj[i], scratch.adj[i])
+	for i := range got {
+		if !slices.Equal(got[i], want[i]) {
+			t.Fatalf("row %d: %v, scratch %v", i, got[i], want[i])
 		}
 	}
 

@@ -5,8 +5,8 @@ import "treesched/internal/dual"
 // This file is the read-only surface package dist shares with the engine.
 // A million-demand dist run cannot afford a private copy of every node's
 // critical sets: instead the nodes borrow the interned dense layout the
-// engine already builds once per item set (views, conflict adjacency, dual
-// extents), and the dist coordinator reconstructs the global selection,
+// engine already builds once per item set (views, the lazily built
+// conflict adjacency, dual extents), and the dist coordinator reconstructs the global selection,
 // dual, λ and trace by replaying the collected raise history through the
 // very same prepared layout. Everything exported here is immutable during
 // runs, so any number of nodes — goroutines or batched worker lanes — may

@@ -13,15 +13,14 @@ import (
 // are embarrassingly data-parallel over dense index rows:
 //
 //   - the unsatisfied scan evaluates one threshold test per group member,
-//   - the subgraph restriction refills one adjacency row per unsatisfied
-//     item,
-//   - the Luby election checks one win predicate per candidate (the draws
-//     themselves stay serial: a splitmix64 stream is a sequential object,
-//     and the per-owner draw order is the bit-compatibility contract with
-//     package dist),
 //   - the greedy second phase evaluates one feasibility predicate per
 //     step member,
 //   - the λ scan folds one constraint ratio per item.
+//
+// The MIS elections (conflicts.go) stay on the coordinating goroutine:
+// their draws consume sequential per-owner streams in ascending order —
+// the bit-compatibility contract with package dist — and each of their
+// passes is O(Σ|path|) over the live set, cheaper than a lane handoff.
 //
 // Determinism is preserved by construction, not by locking: a partitioned
 // kernel only ever *reads* shared state and writes per-row results into a
@@ -129,9 +128,6 @@ func (p *intraPool) close() {
 // function of (n, lanes, grain) alone — but nothing downstream may depend
 // on them: kernels write per-row outputs, and the caller merges rows in
 // ascending order after Run returns.
-//
-// Run satisfies mis.Pool, which is how the Luby win-check partitions
-// without the mis package importing the engine.
 func (p *intraPool) Run(n int, fn func(lo, hi int)) {
 	if n <= 0 {
 		return

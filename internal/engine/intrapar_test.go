@@ -128,8 +128,8 @@ func intraParCases(t *testing.T, mode Mode, seed int64) map[string][]Item {
 // counts {1,2,3,4,8} × seeds × unit/narrow modes × single/multi-component
 // decompositions × traced/untraced runs, RunParallel equals the serial
 // Prepared.Run exactly. Grain 4 and lane cap 8 force every partitioned
-// kernel (unsatisfied, subgraph, Luby win-check, raiseAll, greedy steps,
-// λ fold) onto multiple lanes.
+// kernel (unsatisfied, raiseAll, greedy steps, λ fold) onto multiple
+// lanes.
 func TestIntraParallelMatchesSerial(t *testing.T) {
 	SetIntraTuningForTest(t, 4, 8)
 	for _, mode := range []Mode{Unit, Narrow} {

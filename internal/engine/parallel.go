@@ -36,7 +36,9 @@ import (
 
 // ConflictComponents returns the connected components of a conflict
 // adjacency (as produced by BuildConflicts): each component is an ascending
-// slice of item ids, and components are ordered by smallest member.
+// slice of item ids, and components are ordered by smallest member. The
+// engine itself decomposes over the incidence instead (ItemComponents,
+// incidenceComponents), with identical output.
 func ConflictComponents(adj [][]int) [][]int {
 	comp := make([]int, len(adj))
 	for i := range comp {
@@ -100,7 +102,7 @@ type shardOut struct {
 // Result is bit-identical to Run(items, cfg) at every worker count; with
 // workers ≤ 1 the serial engine runs directly.
 func RunParallel(items []Item, cfg Config, workers int) (*Result, error) {
-	return PrepareWorkers(items, workers).RunParallel(cfg, workers)
+	return Prepare(items).RunParallel(cfg, workers)
 }
 
 // RunParallel executes the sharded pipeline over the prepared state,
@@ -160,7 +162,7 @@ func (p *Prepared) runParallel(cfg Config, workers int) (*Result, error) {
 // is bitwise identical at every lane count, which is what keeps warm-start
 // replays valid no matter how the budget that produced them was split.
 func runShard(pre *preShard, cfg Config, plan *Plan, scr *solveScratch, glay *layout, pool *intraPool) (*shardOut, error) {
-	st := newState(pre.items, pre.lay, cfg, plan, pre.adj, scr, pool)
+	st := newState(pre.items, pre.lay, cfg, plan, scr, pool)
 	res := &Result{Dual: st.core.Dual, Trace: st.trace}
 	if err := st.firstPhase(res); err != nil {
 		return nil, err

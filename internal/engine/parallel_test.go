@@ -3,6 +3,8 @@ package engine_test
 import (
 	"math/rand"
 	"reflect"
+	"slices"
+	"sync"
 	"testing"
 
 	"treesched/internal/engine"
@@ -151,19 +153,93 @@ func TestConflictComponents(t *testing.T) {
 	}
 }
 
-// TestBuildConflictsParallelMatchesSerial pins the worker-pool conflict
-// build to the serial construction.
-func TestBuildConflictsParallelMatchesSerial(t *testing.T) {
+// TestPreparedConflictsMatchBuild pins the lazily built adjacency of a
+// Prepared — at any worker budget, before and after the shard pipeline has
+// run — to the standalone construction.
+func TestPreparedConflictsMatchBuild(t *testing.T) {
 	for seed := int64(0); seed < 5; seed++ {
 		items := treeItems(t, workload.TreeConfig{
 			Vertices: 64, Trees: 3, Demands: 80, ProfitRatio: 16,
 		}, seed)
 		want := engine.BuildConflicts(items)
-		for _, workers := range []int{2, 4, 7} {
-			got := engine.BuildConflictsWorkers(items, workers)
-			if !reflect.DeepEqual(got, want) {
+		for _, workers := range []int{1, 2, 4, 7} {
+			p := engine.PrepareWorkers(items, workers)
+			if _, err := p.RunParallel(engine.Config{Epsilon: 0.1, Seed: seed}, workers); err != nil {
+				t.Fatal(err)
+			}
+			if got := p.Conflicts(); !reflect.DeepEqual(got, want) {
 				t.Fatalf("seed %d workers %d: adjacency diverged", seed, workers)
 			}
+		}
+	}
+}
+
+// TestSolvePathAdjacencyFree pins that no solve path builds the pairwise
+// adjacency: a cold sharded solve, an Apply, and the re-solves after it
+// (sharded with warm replay, and serial) all leave it unbuilt.
+func TestSolvePathAdjacencyFree(t *testing.T) {
+	items := treeItems(t, workload.TreeConfig{
+		Vertices: 32, Trees: 4, Demands: 48, ProfitRatio: 8, AccessMin: 1, AccessMax: 1,
+	}, 4)
+	cfg := engine.Config{Epsilon: 0.1, Seed: 4}
+	for _, w := range []int{1, 4} {
+		p := engine.PrepareWorkers(slices.Clone(items), w)
+		p.EnableWarmStart()
+		if _, err := p.RunParallel(cfg, w); err != nil {
+			t.Fatal(err)
+		}
+		if engine.AdjacencyBuilt(p) {
+			t.Fatalf("w=%d: cold solve built the adjacency", w)
+		}
+		if err := p.Apply(engine.Delta{Remove: []int{0, 5}, Add: []engine.Item{items[0]}}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := p.RunParallel(cfg, w); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := p.Run(cfg); err != nil {
+			t.Fatal(err)
+		}
+		if engine.AdjacencyBuilt(p) {
+			t.Fatalf("w=%d: Apply or a re-solve built the adjacency", w)
+		}
+		// Conflicts builds it on demand, and the next Apply drops it.
+		p.Conflicts()
+		if !engine.AdjacencyBuilt(p) {
+			t.Fatalf("w=%d: Conflicts left the adjacency unbuilt", w)
+		}
+		if err := p.Apply(engine.Delta{Remove: []int{1}}); err != nil {
+			t.Fatal(err)
+		}
+		if engine.AdjacencyBuilt(p) {
+			t.Fatalf("w=%d: Apply kept a stale adjacency", w)
+		}
+	}
+}
+
+// TestConflictsConcurrentFirstUse races first calls to Conflicts on one
+// shared Prepared: every caller gets the one correct adjacency (run under
+// -race to check the lazy build's synchronization).
+func TestConflictsConcurrentFirstUse(t *testing.T) {
+	items := treeItems(t, workload.TreeConfig{Vertices: 32, Trees: 3, Demands: 48, ProfitRatio: 8}, 8)
+	want := engine.BuildConflicts(items)
+	p := engine.Prepare(items)
+	got := make([][][]int, 8)
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[g] = p.Conflicts()
+		}()
+	}
+	wg.Wait()
+	for g := range got {
+		if !reflect.DeepEqual(got[g], want) {
+			t.Fatalf("caller %d: adjacency diverged from BuildConflicts", g)
+		}
+		if &got[g][0] != &got[0][0] {
+			t.Fatalf("caller %d: got a separate build", g)
 		}
 	}
 }

@@ -10,11 +10,12 @@ import (
 // This file implements run preparation: everything about an item set that
 // is independent of the Config and can therefore be built once and reused
 // across solves — the dense dual layout (interned demand slots and edge
-// indices plus per-item views), the conflict adjacency of §2, and, for the
-// sharded pipeline, the per-component relabelings. The root Solver caches
-// Prepared values keyed by instance content, so the steady state of a
-// scheduling service re-solving a fixed network set skips conflict
-// construction and interning entirely and goes straight into the schedule.
+// indices plus per-item views), the demand/edge group member lists that
+// complete the §2 conflict incidence, and, for the sharded pipeline, the
+// per-component relabelings. The root Solver caches Prepared values keyed
+// by instance content, so the steady state of a scheduling service
+// re-solving a fixed network set skips interning entirely and goes straight
+// into the schedule.
 // For churning workloads — demands arriving and departing on an unchanged
 // network — Prepared.Apply (delta.go) updates the same state incrementally.
 
@@ -66,28 +67,32 @@ func (lay *layout) newCore(mode Mode) *Core {
 }
 
 // Prepared is an item set with its Config-independent run state: dense
-// layout, dense group member lists, conflict adjacency, and (lazily) the
-// connected components and per-shard relabelings of the sharded pipeline.
-// A Prepared is immutable during runs apart from the lazily-built shard
-// structures (guarded by shardMu), so it is safe for concurrent
-// Run/RunParallel calls — the property the root Solver's cross-solve cache
-// relies on. Apply (delta.go) mutates the state between runs; it must never
+// layout, dense group member lists, and (lazily) the connected components
+// and per-shard relabelings of the sharded pipeline, plus the pairwise
+// conflict adjacency for callers that ask for it. A Prepared is immutable
+// during runs apart from the lazily-built structures (guarded by shardMu
+// and adjOnce), so it is safe for concurrent Run/RunParallel calls — the
+// property the root Solver's cross-solve cache relies on. Apply (delta.go) mutates the state between runs; it must never
 // overlap a run or another Apply on the same Prepared.
 type Prepared struct {
 	items []Item
 	lay   *layout
-	adj   [][]int
 	// demandMembers[s] / edgeMembers[e] list the item ids (ascending) whose
-	// demand interned to slot s / whose path contains edge index e — the
-	// grouping the adjacency is built from, retained so Apply can rebuild
-	// only the rows a delta touches.
+	// demand interned to slot s / whose path contains edge index e: the
+	// group side of the conflict incidence, which Apply patches in place
+	// and the component decomposition runs over.
 	demandMembers [][]int32
 	edgeMembers   [][]int32
+
+	// adj is the pairwise conflict adjacency, built on first use by
+	// Conflicts and dropped by Apply. No solve path reads it.
+	adjOnce sync.Once
+	adj     [][]int
 
 	shardMu     sync.Mutex
 	shardsBuilt bool
 	shardsStale bool   // an Apply ran since the last shard build
-	touched     []bool // items whose row/content/id changed since then
+	touched     []bool // items whose neighbors/content/id changed since then
 	comps       [][]int
 	shards      []*preShard
 
@@ -108,37 +113,43 @@ type Prepared struct {
 type preShard struct {
 	comp  []int   // global item ids, ascending
 	items []Item  // re-indexed copies (ID = position in comp)
-	adj   [][]int // adjacency relabeled to shard-local ids
-	lay   *layout // shard-local dense layout
+	lay   *layout // shard-local dense layout (and conflict incidence)
 }
 
-// Prepare builds the Config-independent run state of an item set with a
-// serial conflict build.
-func Prepare(items []Item) *Prepared { return PrepareWorkers(items, 1) }
-
-// PrepareWorkers is Prepare with the conflict adjacency built on a worker
-// pool of the given size (identical adjacency at any worker count). The
-// build is a single fused pass: the layout's interned demand slots and edge
-// indices double as the conflict grouping, so the items are traversed and
-// hashed exactly once.
-func PrepareWorkers(items []Item, workers int) *Prepared {
+// Prepare builds the Config-independent run state of an item set: the
+// dense layout and the group member lists, in O(Σ|path|). The layout's
+// interned demand slots and edge indices double as the conflict grouping,
+// so the items are traversed and hashed exactly once.
+func Prepare(items []Item) *Prepared {
 	lay := buildLayout(items)
 	dm, em := buildMembers(lay.views, lay.ix.NumDemands(), lay.ix.NumEdges())
 	return &Prepared{
 		items:         items,
 		lay:           lay,
-		adj:           conflictsFromMembers(len(items), lay.views, dm, em, workers),
 		demandMembers: dm,
 		edgeMembers:   em,
 	}
 }
 
+// PrepareWorkers is Prepare. Preparation is linear and serial, so the
+// worker budget is ignored; the function remains for callers written
+// against the budgeted signature.
+func PrepareWorkers(items []Item, workers int) *Prepared { return Prepare(items) }
+
 // Items returns the prepared item set. Callers must not mutate it.
 func (p *Prepared) Items() []Item { return p.items }
 
-// Conflicts returns the prepared conflict adjacency. Callers must not
-// mutate it.
-func (p *Prepared) Conflicts() [][]int { return p.adj }
+// Conflicts returns the pairwise conflict adjacency of the prepared items:
+// sorted, deduplicated rows, as BuildConflicts returns them. It is built
+// serially on the first call (concurrent first calls share one build) and
+// cached until the next Apply; the solve paths never call it. Callers must
+// not mutate it.
+func (p *Prepared) Conflicts() [][]int {
+	p.adjOnce.Do(func() {
+		p.adj = conflictsSerial(len(p.items), p.lay.views, p.demandMembers, p.edgeMembers, dedupEdgeGroups(p.edgeMembers))
+	})
+	return p.adj
+}
 
 // Run executes the serial engine over the prepared state: one goroutine,
 // no row partitioning — the ground truth every parallel configuration is
@@ -162,11 +173,12 @@ func (p *Prepared) Run(cfg Config) (*Result, error) {
 }
 
 // ensureShards builds the component decomposition and per-shard relabelings,
-// reusing both across runs. After an Apply, the decomposition is refreshed
-// incrementally: components untouched by any delta since the last build —
-// same member ids, no member's row, content or id changed — keep their
-// relabeled shard (items, adjacency and shard-local layout) verbatim, and
-// only components the churn actually reached are relabeled again.
+// reusing both across runs. After an Apply, the components are recomputed
+// over the incidence (linear in Σ|path|), and every component untouched by
+// any delta since the last build — same member ids, no member's groups,
+// content or id changed — keeps its relabeled shard (items and shard-local
+// layout) verbatim; only components the churn actually reached are
+// relabeled again.
 func (p *Prepared) ensureShards() {
 	p.shardMu.Lock()
 	defer p.shardMu.Unlock()
@@ -177,12 +189,9 @@ func (p *Prepared) ensureShards() {
 	if p.rec != nil {
 		tok = p.rec.StartSpan(PhaseComponents)
 	}
-	var comps [][]int
-	if p.shardsStale && len(p.touched) == len(p.adj) {
-		comps = refreshComponents(p.adj, p.comps, p.touched)
-	} else {
-		comps = ConflictComponents(p.adj)
-	}
+	scr := scratchPool.Get().(*solveScratch)
+	comps := incidenceComponents(len(p.items), p.demandMembers, p.edgeMembers, scr)
+	scratchPool.Put(scr)
 	var reusable map[int]*preShard // previous shards by smallest member id
 	if p.shardsStale && len(p.shards) > 0 {
 		reusable = make(map[int]*preShard, len(p.shards))
@@ -204,27 +213,16 @@ func (p *Prepared) ensureShards() {
 		}
 		return
 	}
-	local := make([]int, len(p.items))
 	p.shards = make([]*preShard, len(comps))
 	for s, comp := range comps {
 		if sh := reusable[comp[0]]; sh != nil && slices.Equal(sh.comp, comp) && !anyTouched(touched, comp) {
 			p.shards[s] = sh
 			continue
 		}
-		for i, id := range comp {
-			local[id] = i
-		}
-		sh := &preShard{comp: comp}
-		sh.items = make([]Item, len(comp))
-		sh.adj = make([][]int, len(comp))
+		sh := &preShard{comp: comp, items: make([]Item, len(comp))}
 		for i, id := range comp {
 			sh.items[i] = p.items[id]
 			sh.items[i].ID = i
-			row := make([]int, len(p.adj[id]))
-			for j, w := range p.adj[id] {
-				row[j] = local[w]
-			}
-			sh.adj[i] = row
 		}
 		sh.lay = buildLayout(sh.items)
 		p.shards[s] = sh
@@ -246,64 +244,6 @@ func (p *Prepared) knownSingleComponent() bool {
 	p.shardMu.Lock()
 	defer p.shardMu.Unlock()
 	return p.shardsBuilt && len(p.comps) <= 1
-}
-
-// refreshComponents recomputes the component decomposition after churn,
-// keeping the member slice of every previous component no touched item
-// belongs to and traversing only the rest. The reuse is sound for exactly
-// the reason shard reuse is: an untouched item keeps its id and its
-// adjacency row verbatim (Apply marks every rewritten, moved or added row),
-// and conflict edges are symmetric — a new edge reaching into a
-// fully-untouched component would have rewritten the row of the member it
-// lands on, marking it touched. A previous component whose members are all
-// untouched is therefore closed in the new graph with the same member set.
-// A member id at or past len(adj) means that member departed when the set
-// shrank; such components are always re-traversed. The output is identical
-// to ConflictComponents(adj): same partition, ascending members, components
-// ordered by smallest member.
-func refreshComponents(adj [][]int, prev [][]int, touched []bool) [][]int {
-	visited := make([]bool, len(adj))
-	out := make([][]int, 0, len(prev))
-	for _, members := range prev {
-		clean := true
-		for _, id := range members {
-			if id >= len(adj) || touched[id] {
-				clean = false
-				break
-			}
-		}
-		if !clean {
-			continue
-		}
-		for _, id := range members {
-			visited[id] = true
-		}
-		out = append(out, members)
-	}
-	var stack []int
-	for v := range adj {
-		if visited[v] {
-			continue
-		}
-		members := []int{v}
-		visited[v] = true
-		stack = append(stack[:0], v)
-		for len(stack) > 0 {
-			x := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			for _, w := range adj[x] {
-				if !visited[w] {
-					visited[w] = true
-					members = append(members, w)
-					stack = append(stack, w)
-				}
-			}
-		}
-		slices.Sort(members)
-		out = append(out, members)
-	}
-	slices.SortFunc(out, func(a, b []int) int { return a[0] - b[0] })
-	return out
 }
 
 func anyTouched(touched []bool, comp []int) bool {

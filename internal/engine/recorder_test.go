@@ -138,7 +138,7 @@ func TestRecorderArbitraryHeights(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := newCountingRecorder()
-	prep := engine.PrepareArbitraryWorkers(items, 4)
+	prep := engine.PrepareArbitrary(items)
 	prep.SetRecorder(rec)
 	attached, err := prep.RunParallel(cfg, 4)
 	if err != nil {

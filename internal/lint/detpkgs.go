@@ -10,16 +10,16 @@ package lint
 // (internal/engine, internal/dist, internal/seq) — a meta-test
 // (detpkgs_test.go) derives that closure from `go list -deps` and fails
 // if this list drifts, so a new package cannot silently escape
-// enforcement. Test-support packages (graph/graphtest) and layers above
-// the solve path (serve, which legitimately reads wall-clock time for
-// metrics) are outside the set by construction.
+// enforcement. Test-support packages (graph/graphtest, and mis — the
+// pairwise reference the engine's incidence elections are tested against)
+// and layers above the solve path (serve, which legitimately reads
+// wall-clock time for metrics) are outside the set by construction.
 var DetPackages = []string{
 	"treesched/internal/decomp",
 	"treesched/internal/dist",
 	"treesched/internal/dual",
 	"treesched/internal/engine",
 	"treesched/internal/graph",
-	"treesched/internal/mis",
 	"treesched/internal/model",
 	"treesched/internal/seq",
 	"treesched/internal/simnet",

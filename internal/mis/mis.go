@@ -1,7 +1,9 @@
-// Package mis computes maximal independent sets on conflict graphs. It
-// provides Luby's randomized algorithm (the paper's Time(MIS) = O(log N)
-// choice [14]) in a form shared verbatim between the in-process engine and
-// the message-passing protocol, plus a deterministic greedy fallback.
+// Package mis computes maximal independent sets on explicit conflict
+// graphs: Luby's randomized algorithm (the paper's Time(MIS) = O(log N)
+// choice [14]) and a deterministic greedy fallback. It is the pairwise
+// reference of the engine's elections, which run the same algorithms over
+// the conflict incidence instead of an adjacency (engine/conflicts.go) and
+// are pinned against this package bit for bit.
 //
 // The decisive design point is the draw schedule: priorities are drawn from
 // per-owner PRNG streams in increasing item order, exactly the order in
@@ -19,39 +21,17 @@ import (
 // streams so distributed and local runs agree.
 type Drawer func(owner int) float64
 
-// Pool partitions rows [0,n) into contiguous chunks and runs fn over them,
-// returning when all chunks are done; fn must tolerate concurrent calls on
-// disjoint ranges. LubyPool uses it to spread the win-check — the O(Σ deg)
-// part of an iteration — across worker lanes. The engine's intra-component
-// pool satisfies it; a nil Pool runs everything inline.
-type Pool interface {
-	Run(n int, fn func(lo, hi int))
-}
-
 // Luby computes a maximal independent set of the graph whose vertices are
 // 0..len(owners)-1 and whose adjacency is adj (symmetric, no self-loops).
 // Vertices must be visited in increasing index order when drawing, per the
 // contract above. It returns the membership vector and the number of Luby
 // iterations (each iteration costs two communication rounds in the
 // distributed implementation: one to exchange draws, one to announce
-// winners).
+// winners). A vertex wins an iteration iff it beats every live neighbor
+// (ties by index); winners are applied in ascending order, and since two
+// adjacent vertices can never both win, elimination order within an
+// iteration is immaterial.
 func Luby(owners []int, adj [][]int, draw Drawer) (inMIS []bool, iterations int) {
-	return LubyPool(owners, adj, draw, nil)
-}
-
-// LubyPool is Luby with the per-iteration win-check partitioned over a
-// worker pool (nil runs serially). The result is bitwise identical at any
-// pool width: draws happen serially in ascending vertex order (a PRNG
-// stream is sequential state — this order is the bit-compatibility contract
-// with the distributed protocol), the win predicate of each vertex reads
-// only the frozen live/priority arrays of the current iteration and writes
-// only its own win flag, and winners are applied serially in ascending
-// order. Two adjacent vertices can never both win (their win conditions
-// contradict), so winners are an independent set and elimination order
-// within an iteration is immaterial.
-//
-//schedvet:hot
-func LubyPool(owners []int, adj [][]int, draw Drawer, pool Pool) (inMIS []bool, iterations int) {
 	n := len(owners)
 	inMIS = make([]bool, n)
 	live := make([]bool, n)
@@ -68,30 +48,17 @@ func LubyPool(owners []int, adj [][]int, draw Drawer, pool Pool) (inMIS []bool, 
 				priority[v] = draw(owners[v])
 			}
 		}
-		// A vertex wins if it beats all live neighbors (ties by index).
-		check := func(lo, hi int) {
-			for v := lo; v < hi; v++ {
-				if !live[v] {
-					win[v] = false
-					continue
-				}
-				wins := true
-				for _, w := range adj[v] {
-					if !live[w] {
-						continue
-					}
-					if priority[w] < priority[v] || (priority[w] == priority[v] && w < v) {
-						wins = false
-						break
-					}
-				}
-				win[v] = wins
+		for v := 0; v < n; v++ {
+			win[v] = live[v]
+			if !live[v] {
+				continue
 			}
-		}
-		if pool != nil {
-			pool.Run(n, check)
-		} else {
-			check(0, n)
+			for _, w := range adj[v] {
+				if live[w] && (priority[w] < priority[v] || (priority[w] == priority[v] && w < v)) {
+					win[v] = false
+					break
+				}
+			}
 		}
 		for v := 0; v < n; v++ {
 			if !win[v] || !live[v] {

@@ -132,33 +132,52 @@ func LambdaAtLeast(items []engine.Item, a *dual.Assignment, mode engine.Mode, la
 // every raised item either belongs to the solution or conflicts with a
 // selected item raised strictly later (a selected successor). A failure
 // indicates a broken second phase.
+//
+// Two items conflict iff they share a demand or an edge (§2), so the check
+// walks the trace backwards holding the demands and edges of the selected
+// items raised so far — at an item's last raise, exactly its selected
+// successors' — and needs no conflict graph.
 func StackCoverage(items []engine.Item, trace *engine.Trace, selected []int) error {
 	if trace == nil {
 		return fmt.Errorf("verify: no trace recorded")
 	}
-	adj := engine.BuildConflicts(items)
-	order := make(map[int]int, len(trace.Events))
-	for i, ev := range trace.Events {
-		order[ev.Item] = i
-	}
-	inSol := make(map[int]bool, len(selected))
+	inSol := make([]bool, len(items))
 	for _, id := range selected {
-		inSol[id] = true
+		if id >= 0 && id < len(items) {
+			inSol[id] = true
+		}
 	}
-	for _, ev := range trace.Events {
-		if inSol[ev.Item] {
+	seen := make([]bool, len(items))
+	demands := make(map[int]bool)
+	edges := make(map[model.EdgeKey]bool)
+	uncovered := -1
+	for i := len(trace.Events) - 1; i >= 0; i-- {
+		id := trace.Events[i].Item
+		if id < 0 || id >= len(items) {
+			return fmt.Errorf("verify: trace raises unknown item %d", id)
+		}
+		if seen[id] {
+			continue // an item's successors are those after its last raise
+		}
+		seen[id] = true
+		it := &items[id]
+		if inSol[id] {
+			demands[it.Demand] = true
+			for _, e := range it.Edges {
+				edges[e] = true
+			}
 			continue
 		}
-		covered := false
-		for _, w := range adj[ev.Item] {
-			if inSol[w] && order[w] > order[ev.Item] {
-				covered = true
-				break
-			}
+		covered := demands[it.Demand]
+		for _, e := range it.Edges {
+			covered = covered || edges[e]
 		}
 		if !covered {
-			return fmt.Errorf("verify: raised item %d neither selected nor blocked by a selected successor", ev.Item)
+			uncovered = id // keep walking: report the earliest
 		}
+	}
+	if uncovered >= 0 {
+		return fmt.Errorf("verify: raised item %d neither selected nor blocked by a selected successor", uncovered)
 	}
 	return nil
 }

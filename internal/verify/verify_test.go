@@ -1,6 +1,8 @@
 package verify_test
 
 import (
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -138,6 +140,52 @@ func TestStackCoverage(t *testing.T) {
 	// Selecting nothing leaves both uncovered.
 	if err := verify.StackCoverage(items, trace, nil); err == nil {
 		t.Fatal("empty selection with raises accepted")
+	}
+}
+
+// TestStackCoverageMatchesAdjacency pins the incidence-based check to the
+// definition over the pairwise conflict graph: an unselected raised item
+// is covered iff some adjacent selected item is raised strictly later.
+func TestStackCoverageMatchesAdjacency(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 300; trial++ {
+		n := 1 + rng.Intn(8)
+		items := make([]engine.Item, n)
+		for i := range items {
+			a := rng.Intn(6)
+			items[i] = mkItem(i, rng.Intn(4), []int{a, a + rng.Intn(3)}, []int{a}, 1)
+		}
+		trace := &engine.Trace{}
+		for _, id := range rng.Perm(n)[:1+rng.Intn(n)] {
+			trace.Events = append(trace.Events, engine.RaiseEvent{Item: id})
+		}
+		var selected []int
+		for i := 0; i < n; i++ {
+			if rng.Intn(3) == 0 {
+				selected = append(selected, i)
+			}
+		}
+		adj := engine.BuildConflicts(items)
+		pos := make(map[int]int)
+		for i, ev := range trace.Events {
+			pos[ev.Item] = i
+		}
+		want := true
+		for _, ev := range trace.Events {
+			if slices.Contains(selected, ev.Item) {
+				continue
+			}
+			covered := false
+			for _, w := range adj[ev.Item] {
+				if p, raised := pos[w]; raised && p > pos[ev.Item] && slices.Contains(selected, w) {
+					covered = true
+				}
+			}
+			want = want && covered
+		}
+		if err := verify.StackCoverage(items, trace, selected); (err == nil) != want {
+			t.Fatalf("trial %d: StackCoverage = %v, pairwise definition says covered=%v", trial, err, want)
+		}
 	}
 }
 

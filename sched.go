@@ -355,7 +355,7 @@ func solveItems(items []engine.Item, opts Options, unit bool, toAssignment func(
 
 // preparedFor builds the unit-pipeline prepared state with Options.Recorder
 // attached, bracketing the preparation in PhasePrepare like the caching
-// Solver does. engine.RunParallel is exactly PrepareWorkers + RunParallel,
+// Solver does. engine.RunParallel is exactly Prepare + RunParallel,
 // so routing the one-shot path through here changes no result.
 func preparedFor(items []engine.Item, opts Options) *engine.Prepared {
 	rec := opts.Recorder
@@ -363,7 +363,7 @@ func preparedFor(items []engine.Item, opts Options) *engine.Prepared {
 	if rec != nil {
 		tok = rec.StartSpan(engine.PhasePrepare)
 	}
-	prep := engine.PrepareWorkers(items, opts.Parallelism)
+	prep := engine.Prepare(items)
 	prep.SetRecorder(rec)
 	if rec != nil {
 		rec.EndSpan(engine.PhasePrepare, tok)
@@ -394,14 +394,14 @@ func runUnit(items []engine.Item, cfg engine.Config, opts Options, out *Result) 
 }
 
 func runArbitrary(items []engine.Item, cfg engine.Config, opts Options, out *Result) ([]int, error) {
-	// As in runUnit: RunArbitraryParallel ≡ PrepareArbitraryWorkers +
+	// As in runUnit: RunArbitraryParallel ≡ PrepareArbitrary +
 	// RunParallel, re-routed so Options.Recorder reaches both height classes.
 	rec := opts.Recorder
 	var tok int64
 	if rec != nil {
 		tok = rec.StartSpan(engine.PhasePrepare)
 	}
-	ap := engine.PrepareArbitraryWorkers(items, opts.Parallelism)
+	ap := engine.PrepareArbitrary(items)
 	ap.SetRecorder(rec)
 	if rec != nil {
 		rec.EndSpan(engine.PhasePrepare, tok)
