@@ -232,12 +232,10 @@ func runBenchJSON(path string, seed int64, quick, trace bool) error {
 	}
 
 	// The parallel sweep: the headline single-component instance (the same
-	// workload as unit-tree/m=768) solved at a ladder of worker counts. With
-	// one conflict component the whole budget becomes intra-component row
-	// partitioning (intrapar), so the per-worker-count rows chart exactly
-	// the scaling the two-level parallelism model adds over sharding. On a
-	// 1-CPU host the lane clamp keeps every row at the serial code path, so
-	// the sweep doubles as an overhead gate there.
+	// workload as unit-tree/m=768) solved at a ladder of worker counts. One
+	// conflict component has nothing to shard, so every width runs the
+	// serial engine: the sweep checks that a single component costs the
+	// serial path at every width.
 	{
 		sweepCfg := workload.TreeConfig{Vertices: 1024, Trees: 3, Demands: 768, ProfitRatio: 16}
 		rng := rand.New(rand.NewSource(seed + 1))

@@ -52,37 +52,27 @@
 // zero or negative means runtime.GOMAXPROCS(0). A Solver is safe for
 // concurrent use.
 //
-// # Two-level parallelism: component shards × row partitions
+// # Parallelism: component shards
 //
-// The budget is spent at two levels. Across components: the conflict graph
+// The budget is spent on one level, across components: the conflict graph
 // of §2 decomposes into connected components that never exchange messages,
-// so the epoch/stage/step schedule runs per component on a worker pool and
-// the results are merged back into the serial execution exactly. Within a
-// component: the per-step kernels — the unsatisfied-scan, the batched
-// raises of a step's MIS, the greedy second phase's feasibility tests, and
-// the λ fold — are data-parallel over the dense index lists, so each
-// component's engine row-partitions them across an allocation-free lane
-// pool. The MIS election itself runs on the coordinator, over the conflict
-// incidence rather than a pairwise adjacency: an item beats every live
-// neighbor iff it is the (priority, index)-minimum live member of each of
-// its demand and edge groups, so a Luby round costs O(Σ|path|). The cost
-// model is simple: a single-component instance puts the whole budget into
-// lanes; a fleet splits it as shard workers × (budget / shard workers),
-// and lanes are always clamped to the host's GOMAXPROCS (rows below a
-// fixed grain run inline, so small components never pay partitioning
-// overhead).
+// so the epoch/stage/step schedule runs per component on a pool of up to
+// Parallelism shard workers, and the results are merged back into the
+// serial execution exactly. Inside a component the schedule runs serially
+// on its worker; an instance that is one single component runs the serial
+// engine at every width. The MIS election runs over the conflict incidence
+// rather than a pairwise adjacency: an item beats every live neighbor iff
+// it is the (priority, index)-minimum live member of each of its demand
+// and edge groups, so a Luby round costs O(Σ|path|), and every per-step
+// pass of a component is linear in its paths.
 //
-// Both levels are bitwise invisible. Lane kernels only read shared state
-// and write per-row slots; every cross-row decision — collecting scan hits,
-// electing the MIS, committing greedy steps — happens on the coordinator
-// in ascending row order, identical to the serial loop. A step's MIS
-// members are pairwise conflict-free (disjoint demand slots, disjoint edge
-// sets), so its raises commute exactly; λ is a pure min, exact in any
-// association; and the Luby draws stay sequential per owner stream, so
-// draw order is independent of worker count. Consequently any Parallelism (and the
+// Sharding is bitwise invisible. Components share no demand and no edge,
+// so their dual variables are disjoint; the Luby draws come from per-owner
+// streams, so draw order is independent of worker count; and λ is a pure
+// min, exact in any association. Consequently any Parallelism (and the
 // serial engine) produce bit-identical selections, profit, λ, dual bound
-// and trace — asserted across worker counts {1..8} × modes × seeds ×
-// decomposition shapes by the intra-parallelism suite — and warm-start
+// and trace — asserted across worker counts {1,2,3,4,8} × modes × seeds ×
+// decomposition shapes by the engine's parallel suite — and warm-start
 // outcomes cached at one worker count replay bitwise at any other.
 //
 // # Dense indexed dual state
@@ -240,8 +230,7 @@
 // phases — prepare, update, apply, component decomposition, per-shard and
 // serial first-phase schedules, merge, greedy, and the dist runtime's
 // setup/sim/assemble — and Count accumulates solve-path counters (items,
-// components, warm replays vs re-solves, granted shard workers and intra
-// lanes). Two rules keep the seam compatible with the determinism
+// components, warm replays vs re-solves, granted shard workers). Two rules keep the seam compatible with the determinism
 // contract:
 //
 //   - Recorders observe, never steer. No engine branch reads recorder
@@ -304,13 +293,11 @@
 // serve-warm/m=768): an internal/serve session actor absorbing churn from
 // concurrent submitters, where ns_per_op is the mean coalesced round
 // latency and the additive coalesced_batch field reports the mean
-// submissions absorbed per round. The intra-component scaling matrix
-// (parallel-sweep/m=768: one contended single-component instance swept
-// across worker counts 1/2/4/8, snapshotted in BENCH_intrapar.json)
-// tracks the row-partitioned kernels; read its speedups against the
-// recorded gomaxprocs — on the 1-CPU CI host the lane clamp keeps every
-// worker count on the serial path, so the snapshot gates overhead, not
-// scaling. The recorder-noop/m=768 scenario measures the observability
+// submissions absorbed per round. The single-component width sweep
+// (parallel-sweep/m=768: one contended single-component instance solved
+// at worker counts 1/2/4/8, snapshotted in BENCH_intrapar.json) checks
+// that a single component costs the serial path at every width: it has
+// nothing to shard, so every row should match the p=1 row. The recorder-noop/m=768 scenario measures the observability
 // seam itself: it interleaves no-op-recorder-attached and bare solves in
 // one process, reporting the attached cost as ns_per_op against the bare
 // cost in serial_ns_per_op (so its speedup column is the overhead ratio,
@@ -415,8 +402,8 @@
 //     (dual.RaiseUnit/RaiseNarrow/AddBeta/MergeSlots), the per-step
 //     scan (state.unsatisfied), the incidence kernels (electLuby,
 //     electGreedy, incidenceComponents), the greedy second phase, the
-//     shard merge, Prepared.Apply, and the row-partitioned lane kernels
-//     (state.raiseAll, the partitioned greedy commit) are annotated.
+//     shard merge, Prepared.Apply, and the per-item raise (state.raise)
+//     are annotated.
 //   - waiverhygiene: every //schedvet: directive must parse, bind, and
 //     pull its weight. The waiver grammar is
 //     `//schedvet:ok <analyzer> <reason>` on the flagged line or the

@@ -1,6 +1,9 @@
 package dist
 
-import "math"
+import (
+	"fmt"
+	"math"
+)
 
 // LubyBudgetFor returns B, the fixed per-step Luby iteration budget a
 // processor allocates when it derives the synchronous schedule locally.
@@ -25,4 +28,21 @@ func LubyBudgetFor(n int) int {
 // detection: round r's position in the schedule is a pure function of r.
 func ScheduleLength(totalSteps, budget int) int {
 	return 1 + totalSteps*(2*budget+1)
+}
+
+// BudgetError reports a Luby election that outran the per-step iteration
+// budget B: at the settle round of step Step, node Node still had Live
+// undecided items. The node panics with it, the simulator contains the
+// panic and wraps it, so Run, RunOpts and the root Solve with Simulate
+// return an error that errors.As matches against *BudgetError.
+type BudgetError struct {
+	Node   int // processor id
+	Step   int // flat index of the step in the fixed schedule
+	Live   int // items still undecided after B iterations
+	Budget int // B
+}
+
+func (e *BudgetError) Error() string {
+	return fmt.Sprintf("dist: node %d: step %d: %d items still live after Luby budget %d; raise LubyBudgetFor",
+		e.Node, e.Step, e.Live, e.Budget)
 }

@@ -117,6 +117,10 @@ func Run(items []engine.Item, cfg engine.Config) (*Result, error) {
 	return RunOpts(items, cfg, Options{})
 }
 
+// budgetFor resolves a run's Luby budget. A variable only so tests can
+// force an overrun; it is always LubyBudgetFor outside tests.
+var budgetFor = LubyBudgetFor
+
 // RunOpts is Run with an explicit driver and worker budget.
 func RunOpts(items []engine.Item, cfg engine.Config, opts Options) (*Result, error) {
 	plan, err := engine.PlanFor(items, &cfg)
@@ -126,7 +130,7 @@ func RunOpts(items []engine.Item, cfg engine.Config, opts Options) (*Result, err
 	if cfg.MIS != engine.LubyMIS {
 		return nil, fmt.Errorf("dist: only the Luby MIS subroutine has a distributed implementation")
 	}
-	budget := LubyBudgetFor(len(items))
+	budget := budgetFor(len(items))
 	res := &Result{Plan: plan, LubyBudget: budget, ScheduleRounds: ScheduleLength(plan.TotalSteps(), budget)}
 	if len(items) == 0 {
 		res.ScheduleRounds = 1

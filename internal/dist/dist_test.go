@@ -1,6 +1,7 @@
 package dist_test
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -276,6 +277,34 @@ func TestLubyBudgetMonotone(t *testing.T) {
 	}
 	if got := dist.ScheduleLength(3, 2); got != 16 {
 		t.Errorf("ScheduleLength(3, 2) = %d, want 16", got)
+	}
+}
+
+// TestBudgetOverrunIsTyped forces the Luby budget to one iteration on a
+// conflict chain (item i shares edge i+1 with item i+1), where a single
+// Luby iteration leaves items undecided: on both simnet drivers the overrun
+// must come back as a *dist.BudgetError naming the node, step and live count.
+func TestBudgetOverrunIsTyped(t *testing.T) {
+	dist.ForceLubyBudgetForTest(t, 1)
+	items := make([]engine.Item, 32)
+	for i := range items {
+		e := func(k int) model.EdgeKey { return model.MakeEdgeKey(0, graph.EdgeID(k)) }
+		items[i] = engine.Item{ID: i, Demand: i, Owner: i, Group: 1, Profit: 1, Height: 1,
+			Edges: []model.EdgeKey{e(i), e(i + 1)}, Critical: []model.EdgeKey{e(i)}}
+	}
+	cfg := engine.Config{Mode: engine.Unit, Epsilon: 0.2, Seed: 5}
+	for _, driver := range []dist.Driver{dist.DriverBatched, dist.DriverGoroutine} {
+		_, err := dist.RunOpts(items, cfg, dist.Options{Driver: driver})
+		var be *dist.BudgetError
+		if !errors.As(err, &be) {
+			t.Fatalf("driver %v: want *dist.BudgetError, got %v", driver, err)
+		}
+		if be.Budget != 1 || be.Live <= 0 || be.Node < 0 || be.Step < 0 {
+			t.Fatalf("driver %v: implausible budget error %+v", driver, be)
+		}
+		if !strings.Contains(err.Error(), "Luby budget 1") {
+			t.Fatalf("driver %v: message lost the budget: %v", driver, err)
+		}
 	}
 }
 

@@ -100,8 +100,7 @@ func (n *node) Round(round int, inbox []simnet.Message) []simnet.Message {
 		switch rel := pos % n.ctx.period; {
 		case rel == n.ctx.period-1: // settle: final announcements landed above
 			if len(n.live) > 0 {
-				panic(fmt.Sprintf("dist: node %d: step %d: %d items still live after Luby budget %d; raise LubyBudgetFor",
-					n.id, t, len(n.live), n.ctx.budget))
+				panic(&BudgetError{Node: int(n.id), Step: t, Live: len(n.live), Budget: n.ctx.budget})
 			}
 		case rel%2 == 0: // draw sub-round of Luby iteration rel/2
 			if rel == 0 {

@@ -97,10 +97,8 @@ func TestDenseMatchesMapGoldens(t *testing.T) {
 				Heights: heights, AccessMin: 1, AccessMax: 2,
 			}, seed)
 			cfg := engine.Config{Mode: mode, Epsilon: 0.1, Seed: seed, RecordTrace: true}
-			// The worker axis spans the two-level budget splits: 1 is serial,
-			// small counts shard components, and the larger counts spill into
-			// intra-component row partitioning (forced by the lowered tuning).
-			engine.SetIntraTuningForTest(t, 4, 8)
+			// The worker axis picks the shard-worker count: 1 is serial, the
+			// rest shard components over that many workers.
 			for _, workers := range []int{1, 2, 3, 4, 8} {
 				res, err := engine.RunParallel(items, cfg, workers)
 				if err != nil {
@@ -148,7 +146,6 @@ func TestThreeExecutionsAgree(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%v seed %d: serial: %v", mode, seed, err)
 			}
-			engine.SetIntraTuningForTest(t, 4, 8)
 			for _, workers := range []int{2, 4, 8} {
 				par, err := engine.RunParallel(items, cfg, workers)
 				if err != nil {

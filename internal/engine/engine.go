@@ -135,9 +135,6 @@ type state struct {
 	stack []step
 	trace *Trace
 	steps int
-	// pool row-partitions the per-step kernels (intrapar.go); nil runs every
-	// kernel inline.
-	pool *intraPool
 }
 
 // solveScratch bundles a state's reusable per-run buffers, split out so the
@@ -152,11 +149,6 @@ type solveScratch struct {
 	streams []Stream
 	// uBuf is per-step scratch for the unsatisfied set.
 	uBuf []int
-	// flags is the shared per-row output of the partitioned kernels: each
-	// lane writes verdicts at its own row indices, and the coordinating
-	// goroutine collects them in ascending row order (intrapar.go). Only
-	// meaningful between a kernel and its collection scan.
-	flags []bool
 	// Election scratch (conflicts.go): per-position priorities and live /
 	// membership flags over the current unsatisfied set, and per-group
 	// stamps and minima over the layout's groups (demand slots first, then
@@ -195,16 +187,6 @@ func (scr *solveScratch) nextStamp() uint32 {
 		scr.stamp = 1
 	}
 	return scr.stamp
-}
-
-// growFlags returns the flag scratch sized to n rows. Contents are
-// unspecified on entry; partitioned kernels write every row they own.
-func (scr *solveScratch) growFlags(n int) []bool {
-	if cap(scr.flags) < n {
-		scr.flags = make([]bool, n)
-	}
-	scr.flags = scr.flags[:n]
-	return scr.flags
 }
 
 // scratchPool recycles solve scratch across runs; steady-state churn/serve
@@ -276,9 +258,8 @@ func Run(items []Item, cfg Config) (*Result, error) {
 // layout is read-only: concurrent states (the Solver's cached Prepared,
 // shard workers) may share one. scr may be a pooled scratch (nil allocates
 // a private one); its streams are re-seeded here, so a recycled scratch
-// starts every run from the same stream positions a fresh one would. pool (nil = inline) row-partitions the per-step kernels;
-// the state borrows it for the run and must be its only user while running.
-func newState(items []Item, lay *layout, cfg Config, plan *Plan, scr *solveScratch, pool *intraPool) *state {
+// starts every run from the same stream positions a fresh one would.
+func newState(items []Item, lay *layout, cfg Config, plan *Plan, scr *solveScratch) *state {
 	if scr == nil {
 		scr = &solveScratch{}
 	}
@@ -289,7 +270,6 @@ func newState(items []Item, lay *layout, cfg Config, plan *Plan, scr *solveScrat
 		plan:  plan,
 		core:  lay.newCore(cfg.Mode),
 		scr:   scr,
-		pool:  pool,
 	}
 	if cap(scr.streams) < len(lay.ownerID) {
 		scr.streams = make([]Stream, len(lay.ownerID))
@@ -304,24 +284,18 @@ func newState(items []Item, lay *layout, cfg Config, plan *Plan, scr *solveScrat
 	return st
 }
 
-// runSerial executes both phases over one conflict graph, optionally
-// row-partitioning the per-step kernels over intra lanes (intrapar.go); the
-// result is bitwise identical at every lane count. The sharded pipeline
-// (RunParallel) runs firstPhase per component instead and merges, handing
-// each shard worker its own lane budget.
-func (p *Prepared) runSerial(cfg Config, plan *Plan, intra int) (*Result, error) {
+// runSerial executes both phases over the whole conflict graph on the
+// calling goroutine. The sharded pipeline (RunParallel) runs firstPhase per
+// component instead and merges; a single component runs here.
+func (p *Prepared) runSerial(cfg Config, plan *Plan) (*Result, error) {
 	scr := scratchPool.Get().(*solveScratch)
 	defer scratchPool.Put(scr)
-	lanes := intraLanes(intra, len(p.items))
-	pool := newIntraPool(lanes)
-	defer pool.close()
 	rec := p.rec
 	var tok int64
 	if rec != nil {
-		rec.Count(CounterIntraLanes, int64(lanes))
 		tok = rec.StartSpan(PhaseSerialSolve)
 	}
-	st := newState(p.items, p.lay, cfg, plan, scr, pool)
+	st := newState(p.items, p.lay, cfg, plan, scr)
 	res := &Result{Dual: st.core.Dual, Trace: st.trace}
 	res.Delta = MaxCritical(p.items)
 	if err := st.firstPhase(res); err != nil {
@@ -337,7 +311,7 @@ func (p *Prepared) runSerial(cfg Config, plan *Plan, intra int) (*Result, error)
 	}
 
 	if len(p.items) > 0 {
-		res.Lambda, res.Bound = st.core.lambdaBound(p.lay.views, pool)
+		res.Lambda, res.Bound = st.core.lambdaBound(p.lay.views)
 	}
 	res.CommRounds = 2*res.MISIters + 2*res.Steps
 	return res, nil
@@ -450,9 +424,11 @@ func (st *state) firstPhase(res *Result) error {
 				res.Steps++
 				chosen, iters := st.independentSet(u)
 				res.MISIters += iters
-				raised := st.raiseAll(chosen)
-				res.Raised += len(raised)
-				st.stack = append(st.stack, step{epoch: k, stage: j + 1, iter: iter, items: raised, misIters: iters})
+				for _, id := range chosen {
+					st.raise(id)
+				}
+				res.Raised += len(chosen)
+				st.stack = append(st.stack, step{epoch: k, stage: j + 1, iter: iter, items: chosen, misIters: iters})
 			}
 		}
 	}
@@ -462,40 +438,10 @@ func (st *state) firstPhase(res *Result) error {
 //
 //schedvet:hot
 func (st *state) unsatisfied(members []int, thresh float64) []int {
-	if st.pool != nil && len(members) >= 2*intraGrain {
-		return st.unsatisfiedPar(members, thresh)
-	}
 	u := st.scr.uBuf[:0]
 	views := st.lay.views
 	for _, id := range members {
 		if st.core.Unsatisfied(&views[id], thresh) {
-			u = append(u, id)
-		}
-	}
-	st.scr.uBuf = u
-	return u
-}
-
-// unsatisfiedPar is the row-partitioned unsatisfied scan: lanes evaluate
-// the threshold test per member into the shared flag row, then the
-// coordinating goroutine collects hits in ascending member order — the
-// exact order the serial scan appends them. The test itself reads only the
-// frozen dual state of the step (no raises happen during a scan), so every
-// float comparison sees the same operands as the serial scan.
-//
-//schedvet:hot
-func (st *state) unsatisfiedPar(members []int, thresh float64) []int {
-	flags := st.scr.growFlags(len(members))
-	views := st.lay.views
-	core := st.core
-	st.pool.Run(len(members), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			flags[i] = core.Unsatisfied(&views[members[i]], thresh)
-		}
-	})
-	u := st.scr.uBuf[:0]
-	for i, id := range members {
-		if flags[i] {
 			u = append(u, id)
 		}
 	}
@@ -535,43 +481,14 @@ func (st *state) raise(id int) {
 	}
 }
 
-// raiseAll raises every chosen item of one step and returns the raised ids
-// (ascending — pick built them that way). A step is an independent set of
-// the conflict graph, and conflicting is exactly sharing a demand or an
-// edge, so the chosen items touch pairwise-disjoint α slots and disjoint
-// critical-edge β entries: their raises commute bitwise and may run on
-// separate lanes. Each raise reads only pre-step dual state on its own
-// item's rows (α of its slot, β of its path) — none of which another
-// chosen item writes — so partitioning changes no operand of any float op.
-// Tracing pins the serial raise order, so traced runs stay inline; the
-// prepared index is frozen, so lane raises never grow the dual slices.
-//
-//schedvet:hot
-func (st *state) raiseAll(chosen []int) []int {
-	if st.pool == nil || st.trace != nil || len(chosen) < 2*intraGrain {
-		for _, id := range chosen {
-			st.raise(id)
-		}
-		return chosen
-	}
-	views := st.lay.views
-	core := st.core
-	st.pool.Run(len(chosen), func(lo, hi int) {
-		for _, id := range chosen[lo:hi] {
-			core.Raise(&views[id])
-		}
-	})
-	return chosen
-}
-
 // secondPhase pops the stack through the shared greedy rule (dense form).
 func (st *state) secondPhase(res *Result) {
 	steps := make([][]int, len(st.stack))
 	for i := range st.stack {
 		steps[i] = st.stack[i].items
 	}
-	res.Selected, res.Profit = selectGreedyPartitioned(st.lay.views, st.cfg.Mode, steps,
-		st.lay.ix.NumDemands(), st.lay.ix.NumEdges(), st.pool, st.scr)
+	res.Selected, res.Profit = selectGreedyViews(st.lay.views, st.cfg.Mode, steps,
+		st.lay.ix.NumDemands(), st.lay.ix.NumEdges())
 }
 
 func profitRange(items []Item) (pmin, pmax float64) {

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"math"
+	"runtime"
 	"slices"
 	"sync"
 
@@ -105,15 +106,15 @@ func RunParallel(items []Item, cfg Config, workers int) (*Result, error) {
 	return Prepare(items).RunParallel(cfg, workers)
 }
 
-// RunParallel executes the sharded pipeline over the prepared state,
-// spending the worker budget on two levels: component shards first (they
-// parallelize whole schedules with zero per-step synchronization), then
-// row partitioning inside each shard (intrapar.go) with whatever budget
-// the component level cannot use. workers < 1 resolves to
-// runtime.GOMAXPROCS(0), matching Options.Parallelism at the root. With
-// the warm-start cache enabled it also shards at workers ≤ 1 (replay needs
-// per-component outcomes), except on instances known to be one single
-// component, where sharding can never pay for itself.
+// RunParallel executes the sharded pipeline over the prepared state: the
+// conflict components run their schedules on up to `workers` shard
+// goroutines (whole schedules, zero per-step synchronization) and merge
+// back into the serial execution. Inside one component the schedule runs
+// serially. workers < 1 resolves to runtime.GOMAXPROCS(0), matching
+// Options.Parallelism at the root. With the warm-start cache enabled it
+// also shards at workers ≤ 1 (replay needs per-component outcomes), except
+// on instances known to be one single component, where sharding can never
+// pay for itself.
 func (p *Prepared) RunParallel(cfg Config, workers int) (*Result, error) {
 	rec := p.rec
 	var tok int64
@@ -134,19 +135,19 @@ func (p *Prepared) runParallel(cfg Config, workers int) (*Result, error) {
 		return nil, err
 	}
 	if workers < 1 {
-		workers = laneCap()
+		workers = runtime.GOMAXPROCS(0)
 	}
 	warm := p.warm.on()
 	if workers <= 1 && (!warm || p.knownSingleComponent()) {
 		p.warm.noteCold()
-		return p.runSerial(cfg, plan, 1)
+		return p.runSerial(cfg, plan)
 	}
 	p.ensureShards()
 	if len(p.comps) <= 1 {
-		// One giant component: sharding cannot help, so the whole budget
-		// goes to row partitioning the per-step kernels inside it.
+		// One giant component: sharding cannot help, so it runs serially
+		// at every width.
 		p.warm.noteCold()
-		return p.runSerial(cfg, plan, workers)
+		return p.runSerial(cfg, plan)
 	}
 	outs, err := p.runShards(cfg, plan, workers, warm)
 	if err != nil {
@@ -157,12 +158,11 @@ func (p *Prepared) runParallel(cfg Config, workers int) (*Result, error) {
 
 // runShard executes one component's first phase over (pooled) scratch and
 // captures its outcome, including the merge translations into the global
-// layout (glay is only read, so shards may build them concurrently). pool
-// (nil = inline) row-partitions the shard's per-step kernels; the outcome
-// is bitwise identical at every lane count, which is what keeps warm-start
-// replays valid no matter how the budget that produced them was split.
-func runShard(pre *preShard, cfg Config, plan *Plan, scr *solveScratch, glay *layout, pool *intraPool) (*shardOut, error) {
-	st := newState(pre.items, pre.lay, cfg, plan, scr, pool)
+// layout (glay is only read, so shards may build them concurrently). The
+// outcome depends on the shard alone, never on which worker ran it, which
+// is what keeps warm-start replays valid at any worker count.
+func runShard(pre *preShard, cfg Config, plan *Plan, scr *solveScratch, glay *layout) (*shardOut, error) {
+	st := newState(pre.items, pre.lay, cfg, plan, scr)
 	res := &Result{Dual: st.core.Dual, Trace: st.trace}
 	if err := st.firstPhase(res); err != nil {
 		return nil, err
@@ -172,7 +172,7 @@ func runShard(pre *preShard, cfg Config, plan *Plan, scr *solveScratch, glay *la
 		stack:         st.stack,
 		dual:          st.core.Dual,
 		trace:         st.trace,
-		lambda:        st.core.lambdaPool(pre.lay.views, pool),
+		lambda:        st.core.lambdaOnly(pre.lay.views),
 		raised:        res.Raised,
 		maxStageSteps: res.MaxStageSteps,
 	}
@@ -234,35 +234,25 @@ func (p *Prepared) runShards(cfg Config, plan *Plan, workers int, warm bool) ([]
 
 	if len(todo) > 0 {
 		errs := make([]error, len(todo))
-		// Split the budget: one shard worker per runnable component (up to
-		// workers), and the leftover budget becomes row-parallel lanes inside
-		// each worker's shards. Both splits are pure performance knobs — the
-		// per-shard outcome is bitwise fixed — so the cost model needs no
-		// determinism care, only the observation that component parallelism
-		// has no per-step synchronization and is therefore spent first.
+		// One shard worker per runnable component, up to workers. The
+		// per-shard outcome is bitwise fixed, so the worker count is a pure
+		// performance knob.
 		compWorkers := min(workers, len(todo))
-		intra := 1
-		if workers > compWorkers {
-			intra = workers / compWorkers
-		}
 		if rec != nil {
 			rec.Count(CounterShardWorkers, int64(compWorkers))
-			rec.Count(CounterIntraLanes, int64(intraLanes(intra, len(p.items))))
 		}
 		if compWorkers <= 1 {
 			scr := scratchPool.Get().(*solveScratch)
-			pool := newIntraPool(intraLanes(intra, len(p.items)))
 			for i, s := range todo {
 				var stok int64
 				if rec != nil {
 					stok = rec.StartSpan(PhaseShardSolve)
 				}
-				outs[s], errs[i] = runShard(p.shards[s], cfg, plan, scr, p.lay, pool)
+				outs[s], errs[i] = runShard(p.shards[s], cfg, plan, scr, p.lay)
 				if rec != nil && errs[i] == nil {
 					rec.EndSpan(PhaseShardSolve, stok)
 				}
 			}
-			pool.close()
 			scratchPool.Put(scr)
 		} else {
 			work := make(chan int)
@@ -273,14 +263,12 @@ func (p *Prepared) runShards(cfg Config, plan *Plan, workers int, warm bool) ([]
 					defer wg.Done()
 					scr := scratchPool.Get().(*solveScratch)
 					defer scratchPool.Put(scr)
-					pool := newIntraPool(intraLanes(intra, len(p.items)))
-					defer pool.close()
 					for i := range work {
 						var stok int64
 						if rec != nil {
 							stok = rec.StartSpan(PhaseShardSolve)
 						}
-						outs[todo[i]], errs[i] = runShard(p.shards[todo[i]], cfg, plan, scr, p.lay, pool)
+						outs[todo[i]], errs[i] = runShard(p.shards[todo[i]], cfg, plan, scr, p.lay)
 						if rec != nil && errs[i] == nil {
 							rec.EndSpan(PhaseShardSolve, stok)
 						}

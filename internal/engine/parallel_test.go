@@ -1,6 +1,7 @@
 package engine_test
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -8,6 +9,8 @@ import (
 	"testing"
 
 	"treesched/internal/engine"
+	"treesched/internal/graph"
+	"treesched/internal/model"
 	"treesched/internal/workload"
 )
 
@@ -82,6 +85,106 @@ func TestRunParallelBitIdentical(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// chainItems builds one large sparse conflict component: item i occupies
+// edges {e_i, e_{i+1}}, so it conflicts exactly with its chain neighbors.
+// The component is as large as the instance and every MIS is ~half of the
+// unsatisfied set, so steps are wide while sharding has nothing to split.
+func chainItems(n int, height float64) []engine.Item {
+	items := make([]engine.Item, n)
+	for i := range items {
+		e := func(k int) model.EdgeKey { return model.MakeEdgeKey(0, graph.EdgeID(k)) }
+		items[i] = engine.Item{
+			ID: i, Demand: i, Owner: i, Resource: 0, Group: 1 + i%2,
+			Profit: 1 + float64(i%7), Height: height,
+			Edges:    []model.EdgeKey{e(i), e(i + 1)},
+			Critical: []model.EdgeKey{e(i)},
+		}
+	}
+	return items
+}
+
+// widthCases enumerates the decomposition shapes of the width suite: a
+// single sparse component (chain, which runs serially at every width), a
+// contended tree workload (few components), and a pinned fleet (many
+// components, one shard worker each up to the width).
+func widthCases(t *testing.T, mode engine.Mode, seed int64) map[string][]engine.Item {
+	t.Helper()
+	height := 1.0
+	heights := workload.UnitHeights
+	if mode == engine.Narrow {
+		height = 0.4
+		heights = workload.NarrowHeights
+	}
+	treeIn, err := workload.RandomTreeInstance(workload.TreeConfig{
+		Vertices: 48, Trees: 2, Demands: 72, ProfitRatio: 8, Heights: heights,
+	}, rand.New(rand.NewSource(seed)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree, err := engine.BuildTreeItems(treeIn, engine.IdealDecomp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return map[string][]engine.Item{
+		"chain": chainItems(64, height),
+		"tree":  tree,
+		"fleet": engine.WarmPoolItems(t, seed, 48, heights),
+	}
+}
+
+// TestParallelWidthsMatchSerial is the bitwise property of the shard pool:
+// across widths {1,2,3,4,8} × seeds × unit/narrow modes × single/multi-
+// component decompositions × traced/untraced runs, a Prepared built and
+// solved at that width equals the serial Prepared.Run exactly.
+func TestParallelWidthsMatchSerial(t *testing.T) {
+	for _, mode := range []engine.Mode{engine.Unit, engine.Narrow} {
+		for seed := int64(0); seed < 3; seed++ {
+			for name, items := range widthCases(t, mode, seed) {
+				for _, trace := range []bool{false, true} {
+					cfg := engine.Config{Mode: mode, Epsilon: 0.1, Seed: seed, RecordTrace: trace}
+					want, err := engine.Prepare(slices.Clone(items)).Run(cfg)
+					if err != nil {
+						t.Fatalf("%v/%s/seed=%d serial: %v", mode, name, seed, err)
+					}
+					for _, w := range []int{1, 2, 3, 4, 8} {
+						p := engine.PrepareWorkers(slices.Clone(items), w)
+						got, err := p.RunParallel(cfg, w)
+						if err != nil {
+							t.Fatalf("%v/%s/seed=%d w=%d: %v", mode, name, seed, w, err)
+						}
+						engine.SameResult(t, fmt.Sprintf("%v/%s/seed=%d/trace=%v/w=%d", mode, name, seed, trace, w), got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestShardWarmReplayAcrossWidths pins the warm-replay interaction: shard
+// outcomes cached by a solve at one width must replay bitwise for solves
+// at any other width — the worker count may not leak into the cache.
+func TestShardWarmReplayAcrossWidths(t *testing.T) {
+	items := engine.WarmPoolItems(t, 11, 48, workload.UnitHeights)
+	cfg := engine.Config{Mode: engine.Unit, Epsilon: 0.1, Seed: 11, RecordTrace: true}
+	want, err := engine.Prepare(slices.Clone(items)).Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm := engine.PrepareWorkers(slices.Clone(items), 8)
+	warm.EnableWarmStart()
+	for i, w := range []int{8, 1, 3, 2, 4} {
+		got, err := warm.RunParallel(cfg, w)
+		if err != nil {
+			t.Fatalf("solve %d (w=%d): %v", i, w, err)
+		}
+		engine.SameResult(t, fmt.Sprintf("warm solve %d (w=%d)", i, w), got, want)
+	}
+	ws := warm.WarmStats()
+	if ws.ColdSolves != 1 || ws.WarmSolves != 4 {
+		t.Fatalf("worker-count changes broke replay: %+v", ws)
 	}
 }
 

@@ -151,9 +151,9 @@ func (p *Prepared) Conflicts() [][]int {
 	return p.adj
 }
 
-// Run executes the serial engine over the prepared state: one goroutine,
-// no row partitioning — the ground truth every parallel configuration is
-// pinned bitwise against.
+// Run executes the serial engine over the prepared state on the calling
+// goroutine — the ground truth every shard-worker count is pinned bitwise
+// against.
 func (p *Prepared) Run(cfg Config) (*Result, error) {
 	plan, err := PlanFor(p.items, &cfg)
 	if err != nil {
@@ -165,7 +165,7 @@ func (p *Prepared) Run(cfg Config) (*Result, error) {
 		tok = rec.StartSpan(PhaseSolve)
 		rec.Count(CounterItems, int64(len(p.items)))
 	}
-	res, err := p.runSerial(cfg, plan, 1)
+	res, err := p.runSerial(cfg, plan)
 	if rec != nil && err == nil {
 		rec.EndSpan(PhaseSolve, tok)
 	}

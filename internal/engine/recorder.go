@@ -100,10 +100,6 @@ const (
 	// CounterShardWorkers accumulates the component-level worker count
 	// granted per sharded solve.
 	CounterShardWorkers
-	// CounterIntraLanes accumulates the intra-component lane count granted
-	// per solve (after the GOMAXPROCS clamp), measuring how much of the
-	// two-level budget row partitioning actually absorbed.
-	CounterIntraLanes
 
 	numCounters
 )
@@ -113,7 +109,7 @@ const NumCounters = int(numCounters)
 
 var counterNames = [NumCounters]string{
 	"items", "components", "components_replayed", "components_resolved",
-	"shard_workers", "intra_lanes",
+	"shard_workers",
 }
 
 func (c Counter) String() string {

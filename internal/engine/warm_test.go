@@ -213,16 +213,13 @@ func TestWarmSingleComponentSerial(t *testing.T) {
 // FuzzWarmChurn fuzzes churn schedules against the warm cache: after an
 // arbitrary Apply sequence with interleaved warm solves, the final solve
 // must match a from-scratch preparation bitwise at several worker counts.
-// The fuzzed worker axis picks which worker count runs the interleaved
-// solves — and, with it, how the budget splits into shard workers and
-// intra-component lanes — so the cache is populated under one parallelism
-// shape and replayed under the others (the intra tuning is lowered so the
-// row-partitioned kernels really run on these small instances).
+// The fuzzed worker axis picks the shard-worker count of the interleaved
+// solves, so the cache is populated under one width and replayed under
+// the others.
 func FuzzWarmChurn(f *testing.F) {
 	f.Add(int64(1), []byte{0x03, 0x51, 0xa0}, byte(1))
 	f.Add(int64(7), []byte{0xff, 0x00, 0x42, 0x19}, byte(4))
 	f.Fuzz(func(t *testing.T, seed int64, steps []byte, widx byte) {
-		SetIntraTuningForTest(t, 4, 8)
 		workerAxis := []int{1, 2, 3, 4, 8}
 		warmW := workerAxis[int(widx)%len(workerAxis)]
 		if len(steps) > 5 {

@@ -95,10 +95,9 @@ type SolveReport struct {
 	Components         int64 `json:"components"`
 	ComponentsReplayed int64 `json:"components_replayed"`
 	ComponentsResolved int64 `json:"components_resolved"`
-	// ShardWorkers and IntraLanes accumulate the two-level budget actually
-	// granted per sharded/serial solve; divide by Solves for the mean.
+	// ShardWorkers accumulates the shard-worker count actually granted per
+	// sharded solve; divide by Solves for the mean.
 	ShardWorkers int64 `json:"shard_workers"`
-	IntraLanes   int64 `json:"intra_lanes"`
 }
 
 // PhaseTotal returns the accumulated duration of one phase.
@@ -147,7 +146,6 @@ func (r *Recorder) Report() SolveReport {
 	rep.ComponentsReplayed = r.counters[engine.CounterComponentsReplayed].Load()
 	rep.ComponentsResolved = r.counters[engine.CounterComponentsResolved].Load()
 	rep.ShardWorkers = r.counters[engine.CounterShardWorkers].Load()
-	rep.IntraLanes = r.counters[engine.CounterIntraLanes].Load()
 	return rep
 }
 

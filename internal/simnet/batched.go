@@ -210,7 +210,7 @@ func (nw *Network) RunBatched(maxRounds int, cfg BatchConfig) (Stats, error) {
 func safeStep(id int, node Node, ff FastForwarder, round int, inbox []Message) (out roundOutput) {
 	defer func() {
 		if r := recover(); r != nil {
-			out = roundOutput{err: fmt.Errorf("simnet: node %d panicked in round %d: %v", id, round, r)}
+			out = roundOutput{err: panicError(id, round, r)}
 		}
 	}()
 	outbox := node.Round(round, inbox)

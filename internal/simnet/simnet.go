@@ -207,11 +207,21 @@ func (nw *Network) start() {
 func safeRound(id int, node Node, input roundInput) (out roundOutput) {
 	defer func() {
 		if r := recover(); r != nil {
-			out = roundOutput{err: fmt.Errorf("simnet: node %d panicked in round %d: %v", id, input.round, r)}
+			out = roundOutput{err: panicError(id, input.round, r)}
 		}
 	}()
 	outbox := node.Round(input.round, input.inbox)
 	return roundOutput{outbox: outbox, done: node.Done()}
+}
+
+// panicError converts a recovered node panic into the run's error. Error
+// values are wrapped with %w, so callers can match a typed fault (such as
+// dist's Luby-budget overrun) with errors.As.
+func panicError(id, round int, r any) error {
+	if err, ok := r.(error); ok {
+		return fmt.Errorf("simnet: node %d panicked in round %d: %w", id, round, err)
+	}
+	return fmt.Errorf("simnet: node %d panicked in round %d: %v", id, round, r)
 }
 
 // stop closes the node channels and waits for the goroutines to exit.

@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"errors"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -238,6 +239,40 @@ func TestNodePanicSurfacesAsError(t *testing.T) {
 	}
 	if _, err := nw.Run(10); err == nil || !strings.Contains(err.Error(), "panicked") {
 		t.Fatalf("want panic error, got %v", err)
+	}
+}
+
+// errPanicNode panics with an error value in its second round, the way a
+// protocol node reports a typed fault.
+type errPanicNode struct{ rounds int }
+
+var errInjected = errors.New("injected typed fault")
+
+func (p *errPanicNode) Round(round int, inbox []Message) []Message {
+	p.rounds++
+	if p.rounds >= 2 {
+		panic(errInjected)
+	}
+	return nil
+}
+func (p *errPanicNode) Done() bool { return false }
+
+// TestNodeErrorPanicIsWrapped: on both drivers, a node that panics with an
+// error value fails the run with an error that still matches that value.
+func TestNodeErrorPanicIsWrapped(t *testing.T) {
+	for _, batched := range []bool{false, true} {
+		nw, err := New([]Node{ffWrap{&errPanicNode{}}}, [][]int{{}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if batched {
+			_, err = nw.RunBatched(10, BatchConfig{})
+		} else {
+			_, err = nw.Run(10)
+		}
+		if !errors.Is(err, errInjected) || !strings.Contains(err.Error(), "panicked") {
+			t.Fatalf("batched=%v: want wrapped injected fault, got %v", batched, err)
+		}
 	}
 }
 

@@ -165,15 +165,14 @@ type Options struct {
 	// decomposition (tree instances only); default is the paper's ideal
 	// decomposition.
 	Decomposition engine.DecompKind
-	// Parallelism is the worker budget of the solve pipeline, spent on two
-	// levels: the conflict graph is decomposed into connected components and
-	// the epoch/stage/step schedule runs per component on a worker pool, and
-	// any budget the component level cannot absorb (few components, or one
-	// giant one) row-partitions the per-step kernels inside each component.
-	// Results are bit-identical at every setting (per-owner PRNG streams are
-	// shard-independent, and partitioned kernels merge in row order; see
-	// doc.go, "Two-level parallelism"). Values below 1 resolve to
-	// runtime.GOMAXPROCS(0) at both levels; 1 runs the serial engine.
+	// Parallelism is the number of shard workers of the solve pipeline: the
+	// conflict graph is decomposed into connected components and the
+	// epoch/stage/step schedule runs per component on a pool of that many
+	// workers; each component runs serially on its worker. Results are
+	// bit-identical at every setting (per-owner PRNG streams are
+	// shard-independent; see doc.go, "Parallelism: component shards").
+	// Values below 1 resolve to runtime.GOMAXPROCS(0); 1 runs the serial
+	// engine.
 	// Ignored by the Simulate execution path and the sequential/exact
 	// algorithms.
 	Parallelism int
@@ -186,7 +185,7 @@ type Options struct {
 	DisableWarmStart bool
 	// Recorder observes solve-path phases (prepare, apply, component
 	// decomposition, per-shard schedules, merge, greedy) and counters (warm
-	// replays, granted workers/lanes); see doc.go, "Observability". Nil —
+	// replays, granted shard workers); see doc.go, "Observability". Nil —
 	// the default — costs a single pointer check per emission site.
 	// Recorders observe and never steer: results are bitwise identical
 	// with or without one attached. internal/obs supplies the timing
