@@ -230,8 +230,8 @@
 // phases — prepare, update, apply, component decomposition, per-shard and
 // serial first-phase schedules, merge, greedy, and the dist runtime's
 // setup/sim/assemble — and Count accumulates solve-path counters (items,
-// components, warm replays vs re-solves, granted shard workers). Two rules keep the seam compatible with the determinism
-// contract:
+// components, warm replays vs re-solves, granted shard workers). Two
+// rules keep the seam compatible with the determinism contract:
 //
 //   - Recorders observe, never steer. No engine branch reads recorder
 //     state; every emission site is a plain nil check. Results are bitwise
@@ -297,12 +297,13 @@
 // (parallel-sweep/m=768: one contended single-component instance solved
 // at worker counts 1/2/4/8, snapshotted in BENCH_intrapar.json) checks
 // that a single component costs the serial path at every width: it has
-// nothing to shard, so every row should match the p=1 row. The recorder-noop/m=768 scenario measures the observability
-// seam itself: it interleaves no-op-recorder-attached and bare solves in
-// one process, reporting the attached cost as ns_per_op against the bare
-// cost in serial_ns_per_op (so its speedup column is the overhead ratio,
-// not a parallel speedup); `schedbench -recorder-gate REPORT
-// -max-overhead 0.02` turns that row into the in-run CI overhead gate.
+// nothing to shard, so every row should match the p=1 row. The
+// recorder-noop/m=768 scenario measures the observability seam itself: it
+// interleaves no-op-recorder-attached and bare solves in one process,
+// reporting the attached cost as ns_per_op against the bare cost in
+// serial_ns_per_op (so its speedup column is the overhead ratio, not a
+// parallel speedup); `schedbench -recorder-gate REPORT -max-overhead 0.02`
+// turns that row into the in-run CI overhead gate.
 //
 // `schedbench -compare OLD.json NEW.json` diffs two reports by
 // (scenario, parallelism) and prints per-size speedups;

@@ -286,9 +286,9 @@ func TestLubyBudgetMonotone(t *testing.T) {
 // must come back as a *dist.BudgetError naming the node, step and live count.
 func TestBudgetOverrunIsTyped(t *testing.T) {
 	dist.ForceLubyBudgetForTest(t, 1)
+	e := func(k int) model.EdgeKey { return model.MakeEdgeKey(0, graph.EdgeID(k)) }
 	items := make([]engine.Item, 32)
 	for i := range items {
-		e := func(k int) model.EdgeKey { return model.MakeEdgeKey(0, graph.EdgeID(k)) }
 		items[i] = engine.Item{ID: i, Demand: i, Owner: i, Group: 1, Profit: 1, Height: 1,
 			Edges: []model.EdgeKey{e(i), e(i + 1)}, Critical: []model.EdgeKey{e(i)}}
 	}
