@@ -50,7 +50,11 @@
 //
 // Options.Parallelism sets the total worker budget of the solve pipeline;
 // zero or negative means runtime.GOMAXPROCS(0). A Solver is safe for
-// concurrent use.
+// concurrent use. A cached layered decomposition (decomp.Layered) is
+// immutable once built: it carries no scratch, so one value is shared by
+// every goroutine solving through the Solver and by every Session opened
+// from it, and assigning a demand's group and critical edges allocates
+// only the returned critical set.
 //
 // # Parallelism: component shards
 //

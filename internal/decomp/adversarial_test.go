@@ -1,6 +1,7 @@
 package decomp
 
 import (
+	"slices"
 	"testing"
 
 	"treesched/internal/graph"
@@ -47,11 +48,11 @@ func TestAdversarialTreeShape(t *testing.T) {
 		if z != i {
 			t.Fatalf("level %d: balancer = %d, want u_%d", i, z, i)
 		}
-		parts := ops.Split(comp, z)
+		parts := ops.Split(comp, z, nil)
 		// The continuation component is the one containing the hub 0.
 		var rest []graph.Vertex
 		for _, p := range parts {
-			if p[0] == 0 {
+			if slices.Contains(p, 0) {
 				rest = p
 				break
 			}

@@ -3,6 +3,7 @@ package decomp
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"treesched/internal/graph"
@@ -278,7 +279,7 @@ func keys(m map[graph.EdgeID]bool) []graph.EdgeID {
 	for e := range m {
 		out = append(out, e)
 	}
-	sortInts(out)
+	slices.Sort(out)
 	return out
 }
 

@@ -1,6 +1,8 @@
 package decomp
 
 import (
+	"slices"
+
 	"treesched/internal/graph"
 	"treesched/internal/model"
 )
@@ -9,6 +11,9 @@ import (
 // assignment of every demand instance to a group 1..Length (the paper's σ,
 // group 1 processed first) plus the critical-edge map π. It is derived from
 // a tree decomposition via Lemma 4.2, so ∆ = 2(θ+1) and Length = depth(H).
+// A Layered is immutable and carries no scratch, so it is safe for
+// concurrent use; the root package shares one across Solver and Session
+// goroutines.
 type Layered struct {
 	H      *TreeDecomposition
 	Length int // number of groups ℓ
@@ -24,50 +29,71 @@ func NewLayered(h *TreeDecomposition) *Layered {
 // endpoints u, v, following the construction in the proof of Lemma 4.2:
 // π(d) contains the wings of the capture node µ(d) on path(d) plus, for
 // each pivot neighbor of C(µ(d)), the wings of the bending point of d with
-// respect to that neighbor. |π(d)| ≤ 2(θ+1).
+// respect to that neighbor. |π(d)| ≤ 2(θ+1). It is AssignInstance over the
+// u–v path; item construction calls AssignInstance directly.
 func (l *Layered) Assign(u, v graph.Vertex) (group int, critical []graph.EdgeID) {
-	t := l.H.T
-	pathV := t.PathVertices(u, v)
-	pathE := t.PathEdges(u, v)
-	z := l.H.Capture(pathV)
-	group = l.Length - l.H.Depth[z] + 1
-
-	// Position of each path vertex, to find wings in O(1).
-	pos := make(map[graph.Vertex]int, len(pathV))
-	for i, x := range pathV {
-		pos[x] = i
+	edges := l.H.T.PathEdges(u, v)
+	di := model.DemandInstance{U: u, V: v, Path: make([]model.EdgeKey, len(edges))}
+	for i, e := range edges {
+		di.Path[i] = model.MakeEdgeKey(0, e)
 	}
-	seen := make(map[graph.EdgeID]bool, 2*(len(l.H.Pivot[z])+1))
-	addWings := func(y graph.Vertex) {
-		i := pos[y]
-		if i > 0 && !seen[pathE[i-1]] {
-			seen[pathE[i-1]] = true
-			critical = append(critical, pathE[i-1])
-		}
-		if i < len(pathE) && !seen[pathE[i]] {
-			seen[pathE[i]] = true
-			critical = append(critical, pathE[i])
-		}
-	}
-	addWings(z)
-	for _, nb := range l.H.Pivot[z] {
-		// Bending point of d with respect to nb: the unique path vertex
-		// closest to nb, i.e. the median of the endpoints and nb.
-		y := t.Median(u, v, nb)
-		addWings(y)
+	group, keys := l.AssignInstance(&di)
+	for _, k := range keys {
+		critical = append(critical, k.Edge())
 	}
 	return group, critical
 }
 
-// AssignInstance is Assign lifted to a model.DemandInstance, producing
-// critical edges as global EdgeKeys on the instance's tree.
+// AssignInstance is Assign for a demand instance, producing critical edges
+// as global EdgeKeys on the instance's tree. It reads the path the instance
+// already carries — di.Path must hold the di.U–di.V path in order, as
+// model.Expand builds it — so the returned critical slice is its only
+// allocation.
+//
+//schedvet:hot
 func (l *Layered) AssignInstance(di *model.DemandInstance) (group int, critical []model.EdgeKey) {
-	g, edges := l.Assign(di.U, di.V)
-	out := make([]model.EdgeKey, len(edges))
-	for i, e := range edges {
-		out[i] = model.MakeEdgeKey(di.Tree, e)
+	t, h := l.H.T, l.H
+	path := di.Path
+	// Walk the path from U: each edge leads to whichever of its endpoints
+	// (the edge id itself, or its parent) the walk is not at. The capture
+	// node µ(d) is the first vertex of least H-depth, at position iz.
+	z, iz, x := di.U, 0, di.U
+	for i, k := range path {
+		if e := k.Edge(); t.Parent(e) == x {
+			x = e
+		} else {
+			x = t.Parent(e)
+		}
+		if h.Depth[x] < h.Depth[z] {
+			z, iz = x, i+1
+		}
 	}
-	return g, out
+	group = l.Length - h.Depth[z] + 1
+
+	var buf [6]model.EdgeKey // 2(θ+1) for the ideal decomposition's θ ≤ 2
+	crit := addWings(buf[:0], path, iz)
+	for _, nb := range h.Pivot[z] {
+		// Bending point of d with respect to nb: the unique path vertex
+		// closest to nb, i.e. the median of the endpoints and nb. Its
+		// position on the path is its distance from U.
+		y := t.Median(di.U, di.V, nb)
+		crit = addWings(crit, path, t.Dist(di.U, y))
+	}
+	critical = make([]model.EdgeKey, len(crit))
+	copy(critical, crit)
+	return group, critical
+}
+
+// addWings appends the path edges on either side of position i (the
+// vertex between path[i-1] and path[i]) that crit does not hold yet.
+func addWings(crit, path []model.EdgeKey, i int) []model.EdgeKey {
+	if i > 0 && !slices.Contains(crit, path[i-1]) {
+		crit = append(crit, path[i-1])
+	}
+	if i < len(path) && !slices.Contains(crit, path[i]) {
+		crit = append(crit, path[i])
+	}
+	return crit
 }
 
 // MaxCriticalSize returns the guaranteed bound ∆ = 2(θ+1) of Lemma 4.2.

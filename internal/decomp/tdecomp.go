@@ -3,11 +3,20 @@
 // Lemma 4.1), the transform from tree decompositions to layered
 // decompositions (Lemma 4.2), and the improved length-based layered
 // decomposition for line networks (§7).
+//
+// Ideal and Balancing share one flat centroid kernel: components are
+// sub-slices of one vertex arena that graph.SubtreeOps permutes in place,
+// and all pivot sets are carved from one arena. Each builds its
+// decomposition in O(n log n) time with a fixed number of allocations,
+// independent of n. Layered.AssignInstance walks the path an expanded
+// demand instance already carries, in O(|path|) time, and allocates only
+// the critical set it returns; a Layered is immutable and safe for
+// concurrent use.
 package decomp
 
 import (
 	"fmt"
-	"reflect"
+	"slices"
 
 	"treesched/internal/graph"
 )
@@ -73,7 +82,11 @@ func (h *TreeDecomposition) Children() [][]graph.Vertex {
 
 // Component returns C(z): z together with its descendants in H, sorted.
 func (h *TreeDecomposition) Component(z graph.Vertex) []graph.Vertex {
-	ch := h.Children()
+	return component(h.Children(), z)
+}
+
+// component collects C(z) from a precomputed Children table.
+func component(ch [][]graph.Vertex, z graph.Vertex) []graph.Vertex {
 	var out []graph.Vertex
 	stack := []graph.Vertex{z}
 	for len(stack) > 0 {
@@ -82,7 +95,7 @@ func (h *TreeDecomposition) Component(z graph.Vertex) []graph.Vertex {
 		out = append(out, v)
 		stack = append(stack, ch[v]...)
 	}
-	sortInts(out)
+	slices.Sort(out)
 	return out
 }
 
@@ -129,15 +142,16 @@ func (h *TreeDecomposition) Validate() error {
 
 	// Property (ii) + pivot correctness.
 	ops := graph.NewSubtreeOps(h.T)
+	ch := h.Children()
 	for z := 0; z < n; z++ {
-		comp := h.Component(z)
+		comp := component(ch, z)
 		if !ops.IsComponent(comp) {
 			return fmt.Errorf("decomp: C(%d)=%v is not a component of T", z, comp)
 		}
 		want := ops.Neighbors(comp)
 		got := append([]graph.Vertex(nil), h.Pivot[z]...)
-		sortInts(got)
-		if !equalVertexSets(got, want) {
+		slices.Sort(got)
+		if !slices.Equal(got, want) {
 			return fmt.Errorf("decomp: pivot set of %d is %v, want Γ[C]=%v", z, got, want)
 		}
 	}
@@ -155,21 +169,6 @@ func (h *TreeDecomposition) lcaH(x, y graph.Vertex) graph.Vertex {
 		x, y = h.Parent[x], h.Parent[y]
 	}
 	return x
-}
-
-func sortInts(s []int) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
-}
-
-func equalVertexSets(a, b []graph.Vertex) bool {
-	if len(a) == 0 && len(b) == 0 {
-		return true
-	}
-	return reflect.DeepEqual(a, b)
 }
 
 // computeDepths fills Depth from Parent/Root.

@@ -16,6 +16,11 @@ func TestAssignInstanceWrapsEdgeKeys(t *testing.T) {
 	di := &model.DemandInstance{
 		ID: 0, Demand: 0, Tree: 3, U: 3, V: 12, Profit: 1, Height: 1,
 	}
+	// AssignInstance reads the path the instance carries, as Expand
+	// builds it.
+	for _, e := range tr.PathEdges(di.U, di.V) {
+		di.Path = append(di.Path, model.MakeEdgeKey(di.Tree, e))
+	}
 	group, critical := l.AssignInstance(di)
 	if group < 1 || group > l.Length {
 		t.Fatalf("group %d outside [1,%d]", group, l.Length)

@@ -90,3 +90,29 @@ func BenchmarkRunArbitrary(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkBuildTreeItems measures cold item construction — the ideal
+// decomposition of every tree, expansion, and the Lemma 4.2 group and
+// critical-edge assignment — at the cold-contended benchmark shape: three
+// 1024-vertex trees, 1536 demands that may each use every tree, so 4608
+// items.
+func BenchmarkBuildTreeItems(b *testing.B) {
+	in, err := workload.RandomTreeInstance(workload.TreeConfig{
+		Vertices: 1024, Trees: 3, Demands: 1536, ProfitRatio: 16,
+		AccessMin: 3, AccessMax: 3,
+	}, rand.New(rand.NewSource(1)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		items, err := engine.BuildTreeItems(in, engine.IdealDecomp)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(items) != 4608 {
+			b.Fatalf("built %d items, want 4608", len(items))
+		}
+	}
+}

@@ -18,7 +18,7 @@ func TestBalancerSplitsInHalf(t *testing.T) {
 			comp[i] = i
 		}
 		z := ops.Balancer(comp)
-		parts := ops.Split(comp, z)
+		parts := ops.Split(comp, z, nil)
 		total := 0
 		for _, p := range parts {
 			if len(p) > n/2 {
@@ -42,7 +42,7 @@ func TestBalancerOnSubComponent(t *testing.T) {
 		t.Fatalf("expected %v to induce a subtree", comp)
 	}
 	z := ops.Balancer(comp)
-	parts := ops.Split(comp, z)
+	parts := ops.Split(comp, z, nil)
 	for _, p := range parts {
 		if len(p) > len(comp)/2 {
 			t.Fatalf("balancer %d leaves part %v of size %d > %d", z, p, len(p), len(comp)/2)
@@ -61,7 +61,7 @@ func TestSplitComponentsAreComponents(t *testing.T) {
 			comp[i] = i
 		}
 		z := rng.Intn(n)
-		parts := ops.Split(comp, z)
+		parts := ops.Split(comp, z, nil)
 		union := []Vertex{}
 		for _, p := range parts {
 			if !ops.IsComponent(p) {
@@ -83,6 +83,46 @@ func TestSplitComponentsAreComponents(t *testing.T) {
 		// the whole tree.
 		if len(parts) != tr.Degree(z) {
 			t.Fatalf("split by %d gave %d parts, want deg=%d", z, len(parts), tr.Degree(z))
+		}
+	}
+}
+
+// TestSplitPermutesInPlace checks Split's layout contract: the parts tile
+// comp's prefix in order, z sits last, comp keeps its vertex set, and the
+// scratch is left clean for the next operation.
+func TestSplitPermutesInPlace(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	for trial := 0; trial < 30; trial++ {
+		n := 1 + rng.Intn(80)
+		tr := randomTree(n, rng)
+		ops := NewSubtreeOps(tr)
+		comp := rng.Perm(n)
+		z := comp[rng.Intn(n)]
+		parts := ops.Split(comp, z, [][]Vertex{{-1}})
+		if len(parts) != tr.Degree(z)+1 || parts[0][0] != -1 {
+			t.Fatalf("Split must append after the given parts, got %v", parts)
+		}
+		off := 0
+		for _, p := range parts[1:] {
+			if &p[0] != &comp[off] {
+				t.Fatalf("part %v is not comp[%d:]", p, off)
+			}
+			off += len(p)
+		}
+		if off != n-1 || comp[n-1] != z {
+			t.Fatalf("parts cover %d of %d, comp ends with %d, want z=%d", off, n-1, comp[n-1], z)
+		}
+		sorted := append([]Vertex(nil), comp...)
+		sort.Ints(sorted)
+		for v := range sorted {
+			if sorted[v] != v {
+				t.Fatalf("Split changed comp's vertex set: %v", comp)
+			}
+		}
+		for v, in := range ops.in {
+			if in {
+				t.Fatalf("Split left vertex %d marked", v)
+			}
 		}
 	}
 }

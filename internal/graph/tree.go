@@ -288,36 +288,48 @@ func (t *Tree) PathEdges(u, v Vertex) []EdgeID {
 	if u == v {
 		return nil
 	}
-	l := t.LCA(u, v)
-	up := make([]EdgeID, 0, t.depth[u]-t.depth[l])
-	for x := u; x != l; x = t.parent[x] {
-		up = append(up, x)
+	out := make([]EdgeID, t.Dist(u, v))
+	t.EachPathEdge(u, v, func(i int, e EdgeID) { out[i] = e })
+	return out
+}
+
+// EachPathEdge calls f(i, e) for every edge e of the unique path between u
+// and v, where i is e's position on the path counted from u's side (0 to
+// Dist(u, v)-1). The calls proceed from both ends inward, not in position
+// order, so f suits filling a slice of length Dist(u, v).
+func (t *Tree) EachPathEdge(u, v Vertex, f func(i int, e EdgeID)) {
+	i, j := 0, t.Dist(u, v)
+	for u != v {
+		// The deeper of the two cannot be the LCA, so its edge to its
+		// parent is on the path.
+		if t.depth[u] >= t.depth[v] {
+			f(i, u)
+			i++
+			u = t.parent[u]
+		} else {
+			j--
+			f(j, v)
+			v = t.parent[v]
+		}
 	}
-	down := make([]EdgeID, 0, t.depth[v]-t.depth[l])
-	for x := v; x != l; x = t.parent[x] {
-		down = append(down, x)
-	}
-	for i, j := 0, len(down)-1; i < j; i, j = i+1, j-1 {
-		down[i], down[j] = down[j], down[i]
-	}
-	return append(up, down...)
 }
 
 // PathVertices returns the vertices of the unique path between u and v,
 // inclusive of both endpoints, ordered from u to v.
 func (t *Tree) PathVertices(u, v Vertex) []Vertex {
-	l := t.LCA(u, v)
-	up := make([]Vertex, 0, t.depth[u]-t.depth[l]+1)
-	for x := u; x != l; x = t.parent[x] {
-		up = append(up, x)
+	out := make([]Vertex, t.Dist(u, v)+1)
+	i, j := 0, len(out)-1
+	for u != v {
+		if t.depth[u] >= t.depth[v] {
+			out[i] = u
+			i++
+			u = t.parent[u]
+		} else {
+			out[j] = v
+			j--
+			v = t.parent[v]
+		}
 	}
-	up = append(up, l)
-	down := make([]Vertex, 0, t.depth[v]-t.depth[l])
-	for x := v; x != l; x = t.parent[x] {
-		down = append(down, x)
-	}
-	for i, j := 0, len(down)-1; i < j; i, j = i+1, j-1 {
-		down[i], down[j] = down[j], down[i]
-	}
-	return append(up, down...)
+	out[i] = u // the LCA
+	return out
 }

@@ -160,9 +160,13 @@ type DemandInstance struct {
 // (demand, accessible network) pair, in deterministic order (by demand, then
 // by the order networks appear in Access).
 func (in *Instance) Expand() []DemandInstance {
-	var out []DemandInstance
+	n := 0
 	for _, d := range in.Demands {
-		out = append(out, ExpandDemand(d, in.Trees, len(out))...)
+		n += len(d.Access)
+	}
+	out := make([]DemandInstance, 0, n)
+	for _, d := range in.Demands {
+		out = appendInstances(out, d, in.Trees, len(out))
 	}
 	return out
 }
@@ -172,15 +176,18 @@ func (in *Instance) Expand() []DemandInstance {
 // the root package's incremental Session both construct instances through
 // it, so an arriving demand expands exactly as a from-scratch build would.
 func ExpandDemand(d Demand, trees []*graph.Tree, firstID InstanceID) []DemandInstance {
-	out := make([]DemandInstance, 0, len(d.Access))
-	for _, q := range d.Access {
-		edges := trees[q].PathEdges(d.U, d.V)
-		path := make([]EdgeKey, len(edges))
-		for j, e := range edges {
-			path[j] = MakeEdgeKey(q, e)
-		}
+	return appendInstances(make([]DemandInstance, 0, len(d.Access)), d, trees, firstID)
+}
+
+// appendInstances appends d's instances to out. Each instance's path is
+// its one allocation, with the EdgeKeys written straight into it.
+func appendInstances(out []DemandInstance, d Demand, trees []*graph.Tree, firstID InstanceID) []DemandInstance {
+	for k, q := range d.Access {
+		t := trees[q]
+		path := make([]EdgeKey, t.Dist(d.U, d.V))
+		t.EachPathEdge(d.U, d.V, func(i int, e graph.EdgeID) { path[i] = MakeEdgeKey(q, e) })
 		out = append(out, DemandInstance{
-			ID:     firstID + len(out),
+			ID:     firstID + k,
 			Demand: d.ID,
 			Tree:   q,
 			U:      d.U,

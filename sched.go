@@ -259,15 +259,15 @@ func Solve(in *Instance, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return solveTreeItems(m, items, opts)
+	return solveTreeItems(items, opts)
 }
 
 // solveTreeItems runs the framework algorithms over items built from a tree
-// model instance; shared by Solve and the caching Solver.
-func solveTreeItems(m *model.Instance, items []engine.Item, opts Options) (*Result, error) {
-	dis := m.Expand()
+// model instance; shared by Solve and the caching Solver. Item ids index
+// items, so a selected id maps straight to its demand and network.
+func solveTreeItems(items []engine.Item, opts Options) (*Result, error) {
 	toAssignment := func(id int) Assignment {
-		return Assignment{Demand: dis[id].Demand, Network: dis[id].Tree}
+		return Assignment{Demand: items[id].Demand, Network: items[id].Resource}
 	}
 	return solveItems(items, opts, unitHeights(items), toAssignment)
 }

@@ -166,7 +166,7 @@ func (s *Solver) Solve(in *Instance) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return solveTreeItems(m, items, s.opts)
+	return solveTreeItems(items, s.opts)
 }
 
 // resolveFast resolves Auto against the instance's heights and reports
