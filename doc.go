@@ -368,6 +368,17 @@
 //     tracked per conflict component in a lazy min-heap, so skipping the
 //     idle stretches of the fixed schedule costs O(log components) per
 //     executed round rather than a full-network scan.
+//   - Closed-form next action: a stepped node names its next active round
+//     without walking the schedule. Its frozen dual fixes each item's
+//     LHS, and satisfaction is monotone in the stage threshold, so one
+//     LHS plus a binary search over the thresholds per owned item decides
+//     it — O(own·(|path| + log stages)) per executed step of a node,
+//     independent of how many epochs and stages remain.
+//   - Per-run arenas: nodes, their dense duals, their outboxes and their
+//     per-neighbor payload pools are carved from a handful of arrays sized
+//     by the node count and Σdeg, and the in-memory transport presizes
+//     each recipient's inbox rows to its in-degree. The setup broadcast —
+//     one message per topology edge — fills them without growing a slice.
 //
 // Both drivers produce bit-identical Results and identical simnet Stats —
 // asserted pairwise (and against the in-process engine) by the equivalence

@@ -21,7 +21,10 @@
 // (engine.Prepared) through a runContext instead of copying critical sets
 // and conflict maps per processor; see doc.go's "Distributed scale"
 // section for the invariants and the accounting
-// (Result.NodeStateBytes/SharedStateBytes).
+// (Result.NodeStateBytes/SharedStateBytes). RunOpts prepares that layout
+// itself; RunPrepared takes a Prepared the caller already holds — the one
+// the engine just solved over — so a simulated solve lays its items out
+// once.
 //
 // # Fixed synchronous schedule
 //
@@ -73,20 +76,20 @@ const (
 	DriverGoroutine
 )
 
-// Options tunes RunOpts beyond the engine Config.
+// Options tunes RunOpts and RunPrepared beyond the engine Config.
 type Options struct {
 	Driver Driver
 	// Workers bounds the batched driver's stepping pool and the prepare
 	// step's conflict-build pool; ≤0 means GOMAXPROCS. Cannot affect
 	// results, only wall-clock.
 	Workers int
-	// Recorder observes the run's phases — PhaseDistSetup (context build +
-	// node construction), PhaseDistSim (the simnet round loop),
-	// PhaseDistAssemble (raise-log assembly, selection, dual replay) — and
-	// nothing else; like every recorder attachment it cannot affect
-	// results. dist itself never reads a clock (it is in the deterministic
-	// package set); timing lives in the recorder implementation
-	// (internal/obs).
+	// Recorder observes the run's phases — PhaseDistSetup (RunOpts'
+	// Prepare, context build + node construction), PhaseDistSim (the
+	// simnet round loop), PhaseDistAssemble (raise-log assembly,
+	// selection, dual replay) — and nothing else; like every recorder
+	// attachment it cannot affect results. dist itself never reads a clock
+	// (it is in the deterministic package set); timing lives in the
+	// recorder implementation (internal/obs).
 	Recorder engine.Recorder
 }
 
@@ -121,8 +124,27 @@ func Run(items []engine.Item, cfg engine.Config) (*Result, error) {
 // force an overrun; it is always LubyBudgetFor outside tests.
 var budgetFor = LubyBudgetFor
 
-// RunOpts is Run with an explicit driver and worker budget.
+// RunOpts is Run with an explicit driver and worker budget. It prepares
+// the items' dense layout inside the setup phase and hands it to
+// RunPrepared.
 func RunOpts(items []engine.Item, cfg engine.Config, opts Options) (*Result, error) {
+	rec := opts.Recorder
+	var tok int64
+	if rec != nil {
+		tok = rec.StartSpan(engine.PhaseDistSetup)
+	}
+	prep := engine.Prepare(items)
+	if rec != nil {
+		rec.EndSpan(engine.PhaseDistSetup, tok)
+	}
+	return RunPrepared(prep, cfg, opts)
+}
+
+// RunPrepared runs the protocol over an already prepared item set — the
+// Prepared a caller has just solved with the engine, say — so a simulated
+// solve lays the items out once. The nodes only read the Prepared.
+func RunPrepared(prep *engine.Prepared, cfg engine.Config, opts Options) (*Result, error) {
+	items := prep.Items()
 	plan, err := engine.PlanFor(items, &cfg)
 	if err != nil {
 		return nil, err
@@ -146,7 +168,6 @@ func RunOpts(items []engine.Item, cfg engine.Config, opts Options) (*Result, err
 	if rec != nil {
 		tok = rec.StartSpan(engine.PhaseDistSetup)
 	}
-	prep := engine.Prepare(items)
 	ctx, err := buildContext(prep, cfg, plan, budget)
 	if err != nil {
 		return nil, err
@@ -155,8 +176,8 @@ func RunOpts(items []engine.Item, cfg engine.Config, opts Options) (*Result, err
 	res.Processors = len(nodes)
 
 	simNodes := make([]simnet.Node, len(nodes))
-	for i, n := range nodes {
-		simNodes[i] = n
+	for i := range nodes {
+		simNodes[i] = &nodes[i]
 	}
 	nw, err := simnet.New(simNodes, ctx.topology)
 	if err != nil {
@@ -185,8 +206,8 @@ func RunOpts(items []engine.Item, cfg engine.Config, opts Options) (*Result, err
 	res.Selected, res.Profit = prep.SelectGreedy(cfg.Mode, steps)
 	res.Dual, res.Lambda, res.Bound = prep.ReplayDual(cfg.Mode, steps)
 	res.Trace = trace
-	for _, n := range nodes {
-		res.NodeStateBytes += n.stateBytes()
+	for i := range nodes {
+		res.NodeStateBytes += nodes[i].stateBytes()
 	}
 	res.SharedStateBytes = ctx.sharedBytes
 	if rec != nil {
@@ -202,12 +223,12 @@ func RunOpts(items []engine.Item, cfg engine.Config, opts Options) (*Result, err
 // wantTrace it also rebuilds the engine's trace: events carry the 1-based
 // rank of their step among non-empty steps (the engine's Steps counter at
 // raise time) and the δ each raise produced.
-func assembleSteps(ctx *runContext, nodes []*node, wantTrace bool) ([][]int, *engine.Trace) {
+func assembleSteps(ctx *runContext, nodes []node, wantTrace bool) ([][]int, *engine.Trace) {
 	total := 0
 	counts := make([]int32, ctx.totalSteps)
-	for _, n := range nodes {
-		total += len(n.raises)
-		for _, r := range n.raises {
+	for i := range nodes {
+		total += len(nodes[i].raises)
+		for _, r := range nodes[i].raises {
 			counts[r.Step]++
 		}
 	}
@@ -217,8 +238,8 @@ func assembleSteps(ctx *runContext, nodes []*node, wantTrace bool) ([][]int, *en
 	}
 	flat := make([]raiseRec, total)
 	cur := slices.Clone(off[:ctx.totalSteps])
-	for _, n := range nodes {
-		for _, r := range n.raises {
+	for i := range nodes {
+		for _, r := range nodes[i].raises {
 			flat[cur[r.Step]] = r
 			cur[r.Step]++
 		}

@@ -56,22 +56,39 @@ type node struct {
 // no index — and its PRNG stream is seeded from the run seed and its
 // external owner id, exactly as the engine derives per-owner streams, so
 // draws coincide.
-func (ctx *runContext) newNodes() []*node {
-	nodes := make([]*node, len(ctx.nodeItems))
+//
+// The nodes, their duals and their per-neighbor buffers are carved from
+// per-run arenas: the outbox and both payload-pool rows of a node hold one
+// entry per topology neighbor, which is the most any round sends, so the
+// setup broadcast fills them without growing anything and construction
+// costs a fixed number of allocations whatever the node count or Σdeg.
+func (ctx *runContext) newNodes() []node {
+	nodes := make([]node, len(ctx.nodeItems))
+	duals := dual.NewDenseRows(1, ctx.nodeEdges)
+	sumDeg := 0
+	for _, row := range ctx.topology {
+		sumDeg += len(row)
+	}
+	outArena := make([]simnet.Message, sumDeg)
+	drawArena := make([]drawPayload, sumDeg)
+	raiseArena := make([]raisePayload, sumDeg)
+	off := 0
 	for i := range nodes {
-		deg := len(ctx.topology[i])
-		nodes[i] = &node{
+		end := off + len(ctx.topology[i])
+		nodes[i] = node{
 			ctx:       ctx,
 			id:        int32(i),
 			own:       ctx.nodeItems[i],
 			views:     ctx.local[i],
 			edges:     ctx.nodeEdges[i],
 			neighbors: ctx.topology[i],
-			core:      engine.Core{Mode: ctx.mode, Dual: dual.NewDense(1, len(ctx.nodeEdges[i]))},
+			core:      engine.Core{Mode: ctx.mode, Dual: &duals[i]},
 			rng:       engine.NewStream(ctx.seed, ctx.nodeOwner[i]),
-			drawOut:   make([]drawPayload, deg),
-			raiseOut:  make([]raisePayload, deg),
+			out:       outArena[off:off:end],
+			drawOut:   drawArena[off:end:end],
+			raiseOut:  raiseArena[off:end:end],
 		}
+		off = end
 	}
 	return nodes
 }
@@ -130,6 +147,12 @@ func (n *node) Done() bool { return n.done }
 // (where it must wake to terminate). The answer is a pure function of the
 // frozen state, satisfying the batched driver's stability contract.
 //
+// The step is found in closed form per item rather than by walking the
+// schedule: a frozen item's LHS does not depend on the threshold, and
+// satisfaction is monotone in it (dual.Meets), so the first stage of the
+// item's epoch that it misses is a binary search over the increasing
+// stage thresholds. Cost: O(own·(|path| + log stages)) per call.
+//
 //schedvet:hot
 func (n *node) NextActiveRound(now int) int {
 	if n.done {
@@ -139,21 +162,62 @@ func (n *node) NextActiveRound(now int) int {
 		return now + 1
 	}
 	ctx := n.ctx
-	t := 0
+	plan := ctx.plan
+	t0 := 0
 	if now >= 1 {
-		t = (now-1)/ctx.period + 1 // first step starting strictly after now
+		t0 = (now-1)/ctx.period + 1 // first step starting strictly after now
 	}
-	for t < ctx.totalSteps {
-		epoch, _, iter, thresh := ctx.plan.StepAt(t)
-		if n.hasUnsatisfied(epoch, thresh) {
-			return 1 + t*ctx.period
+	if t0 < ctx.totalSteps {
+		perEpoch := plan.Stages * plan.StepCap
+		e0 := t0/perEpoch + 1              // t0's epoch (1-based)
+		s0 := t0 % perEpoch / plan.StepCap // t0's stage (0-based)
+		best := ctx.totalSteps
+		for i := range n.own {
+			g := ctx.items[n.own[i]].Group
+			if g < e0 {
+				continue // its epoch ended before t0
+			}
+			first := 0
+			if g == e0 {
+				first = s0
+			}
+			v := &n.views[i]
+			s := firstMissed(plan.Thresholds, first, n.core.LHS(v), v.Profit)
+			if s == plan.Stages {
+				continue
+			}
+			t := t0
+			if g != e0 || s != s0 {
+				t = ((g-1)*plan.Stages + s) * plan.StepCap
+			}
+			best = min(best, t)
 		}
-		t += ctx.plan.StepCap - iter // state is frozen: skip the rest of the stage
+		if best < ctx.totalSteps {
+			return 1 + best*ctx.period
+		}
 	}
 	if ctx.lastRound > now {
 		return ctx.lastRound
 	}
 	return now + 1
+}
+
+// firstMissed returns the first stage s ≥ from whose threshold a
+// constraint with the given LHS and profit misses, or len(thresholds) if it
+// meets them all. Thresholds strictly increase, so the misses form a suffix.
+//
+//schedvet:hot
+func firstMissed(thresholds []float64, from int, lhs, profit float64) int {
+	lo, hi := from, len(thresholds)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if dual.Meets(lhs, thresholds[mid], profit) {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
 }
 
 //schedvet:hot
@@ -377,9 +441,10 @@ func (n *node) finalCheck() {
 	}
 }
 
-// Per-entry resident sizes for stateBytes (struct sizes on 64-bit).
+// Per-entry resident sizes for stateBytes (struct sizes on 64-bit; pinned
+// to the structs by TestStateAccountingSizes).
 const (
-	nodeFixedBytes = 432 // node struct + dual.Assignment headers
+	nodeFixedBytes = 440 // node struct + dual.Assignment headers
 	messageBytes   = 32  // Message: From, To, Payload interface
 	entryBytes     = 16  // drawEntry / raiseEntry / raiseRec
 )
@@ -388,7 +453,9 @@ const (
 // of every mutable per-node slice plus the fixed struct overhead. Shared
 // arenas (own/views/edges/neighbors rows) are accounted once, in
 // runContext.sharedBytes, not here — that split is the compaction headline
-// Result.NodeStateBytes/SharedStateBytes report.
+// Result.NodeStateBytes/SharedStateBytes report. The rows newNodes carves
+// from per-run arenas (dual, outbox, payload pools) count here: each is
+// private to its node however it was allocated.
 func (n *node) stateBytes() int64 {
 	b := int64(nodeFixedBytes)
 	b += n.core.Dual.StateBytes()

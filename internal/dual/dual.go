@@ -209,16 +209,30 @@ func NewWithIndex(ix *Index) *Assignment {
 	}
 }
 
-// NewDense returns an assignment over pre-sized dense storage and no index:
-// `demands` α slots and `edges` β slots, all zero. It serves callers that do
-// their own slot addressing — a dist node keeps one node-local assignment
-// over its node-local edge numbering, so a million-processor run carries no
-// per-node interning maps at all. Such an assignment supports exactly the
-// index-free hot-path methods (Alpha, Beta, BetaSum, LHS, Satisfied,
+// NewDenseRows returns one assignment per edge set over pre-sized dense
+// storage and no index: the i-th has `demands` α slots and
+// len(edgeSets[i]) β slots, all zero. It serves callers that do their own
+// slot addressing — a dist node keeps one node-local assignment over its
+// node-local edge numbering, so a million-processor run carries no
+// per-node interning maps at all. All rows are carved from one α arena and
+// one β arena, each capped at its own length, so building them costs three
+// allocations whatever their number. Such an assignment supports exactly
+// the index-free hot-path methods (Alpha, Beta, BetaSum, LHS, Satisfied,
 // RaiseUnit, RaiseNarrow, AddBeta, StateBytes); the key-addressed layer and
 // Value need an index and must not be called on it.
-func NewDense(demands, edges int) *Assignment {
-	return &Assignment{alpha: make([]float64, demands), beta: make([]float64, edges)}
+func NewDenseRows(demands int, edgeSets [][]int32) []Assignment {
+	edges := 0
+	for _, set := range edgeSets {
+		edges += len(set)
+	}
+	rows := make([]Assignment, len(edgeSets))
+	alpha := make([]float64, demands*len(edgeSets))
+	beta := make([]float64, edges)
+	for i, set := range edgeSets {
+		rows[i].alpha, alpha = alpha[:demands:demands], alpha[demands:]
+		rows[i].beta, beta = beta[:len(set):len(set)], beta[len(set):]
+	}
+	return rows
 }
 
 // Index returns the assignment's index.
@@ -274,7 +288,17 @@ func (a *Assignment) LHS(slot int32, coeff float64, path []int32) float64 {
 //
 //schedvet:hot
 func (a *Assignment) Satisfied(slot int32, coeff float64, path []int32, xi, profit float64) bool {
-	return a.LHS(slot, coeff, path) >= xi*profit-Tolerance*profit
+	return Meets(a.LHS(slot, coeff, path), xi, profit)
+}
+
+// Meets is the one ξ-satisfaction test every caller shares: lhs ≥ ξ·p(d)
+// with relative tolerance. For a fixed lhs and p(d) > 0 it is monotone in
+// ξ — rounding preserves order — so a constraint that misses a threshold
+// misses every higher one.
+//
+//schedvet:hot
+func Meets(lhs, xi, profit float64) bool {
+	return lhs >= xi*profit-Tolerance*profit
 }
 
 // growAlpha ensures the α slice covers slot.
@@ -425,7 +449,7 @@ func (a *Assignment) LHSKeys(demand int, coeff float64, path []model.EdgeKey) fl
 
 // SatisfiedKeys is Satisfied over a demand id and edge keys.
 func (a *Assignment) SatisfiedKeys(demand int, coeff float64, path []model.EdgeKey, xi, profit float64) bool {
-	return a.LHSKeys(demand, coeff, path) >= xi*profit-Tolerance*profit
+	return Meets(a.LHSKeys(demand, coeff, path), xi, profit)
 }
 
 // RaiseUnitKeys is RaiseUnit over a demand id and edge keys, interning them

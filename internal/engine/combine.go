@@ -69,6 +69,23 @@ func PrepareArbitrary(items []Item) *ArbitraryPrepared {
 // Items returns the full (unsplit) item set. Callers must not mutate it.
 func (ap *ArbitraryPrepared) Items() []Item { return ap.items }
 
+// Classes returns the prepared wide (h > 1/2) and narrow height classes;
+// either is nil when its class is empty. Callers must not mutate them.
+func (ap *ArbitraryPrepared) Classes() (wide, narrow *Prepared) { return ap.wide, ap.narrow }
+
+// Combine applies the §6 per-resource combination to selections of the two
+// classes, indexed into each class's items, and returns original item ids.
+func (ap *ArbitraryPrepared) Combine(wideSel, narrowSel []int) (selected []int, profit float64) {
+	var wide, narrow []Item
+	if ap.wide != nil {
+		wide = ap.wide.Items()
+	}
+	if ap.narrow != nil {
+		narrow = ap.narrow.Items()
+	}
+	return CombineSelections(wide, narrow, wideSel, narrowSel, ap.wideIDs, ap.narrowIDs)
+}
+
 // MaxCritical returns ∆ = max |π(d)| over the full item set.
 func (ap *ArbitraryPrepared) MaxCritical() int { return ap.delta }
 
@@ -78,10 +95,8 @@ func (ap *ArbitraryPrepared) MaxCritical() int { return ap.delta }
 // RunArbitrary at every worker count.
 func (ap *ArbitraryPrepared) RunParallel(cfg Config, workers int) (*ArbitraryResult, error) {
 	out := &ArbitraryResult{}
-	var wideItems, narrowItems []Item
 	var wideSel, narrowSel []int
 	if ap.wide != nil {
-		wideItems = ap.wide.Items()
 		wcfg := cfg
 		wcfg.Mode = Unit
 		wcfg.Xi = 0 // re-derive from the wide item set
@@ -95,7 +110,6 @@ func (ap *ArbitraryPrepared) RunParallel(cfg Config, workers int) (*ArbitraryRes
 		wideSel = res.Selected
 	}
 	if ap.narrow != nil {
-		narrowItems = ap.narrow.Items()
 		ncfg := cfg
 		ncfg.Mode = Narrow
 		ncfg.Xi = 0
@@ -108,7 +122,7 @@ func (ap *ArbitraryPrepared) RunParallel(cfg Config, workers int) (*ArbitraryRes
 		out.CommRounds += res.CommRounds
 		narrowSel = res.Selected
 	}
-	out.Selected, out.Profit = CombineSelections(wideItems, narrowItems, wideSel, narrowSel, ap.wideIDs, ap.narrowIDs)
+	out.Selected, out.Profit = ap.Combine(wideSel, narrowSel)
 	return out, nil
 }
 

@@ -92,12 +92,20 @@ func (c *Core) Coeff(v *ItemView) float64 {
 	return 1
 }
 
+// LHS returns the left-hand side of the view's dual constraint:
+// α(a_d) + coeff·Σ_{e∈path} β(e).
+//
+//schedvet:hot
+func (c *Core) LHS(v *ItemView) float64 {
+	return c.Dual.LHS(v.Slot, c.Coeff(v), v.Edges)
+}
+
 // Unsatisfied reports whether the view's dual constraint is not yet
-// thresh-satisfied: α(a_d) + coeff·Σ_{e∈path} β(e) < thresh·p(d).
+// thresh-satisfied: LHS < thresh·p(d).
 //
 //schedvet:hot
 func (c *Core) Unsatisfied(v *ItemView, thresh float64) bool {
-	return !c.Dual.Satisfied(v.Slot, c.Coeff(v), v.Edges, thresh, v.Profit)
+	return !dual.Meets(c.LHS(v), thresh, v.Profit)
 }
 
 // Raise performs the mode's raise rule on the view and returns δ. The

@@ -3,6 +3,7 @@ package simnet
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 )
 
@@ -68,7 +69,7 @@ func (nw *Network) RunBatched(maxRounds int, cfg BatchConfig) (Stats, error) {
 	comp, comps := nw.components()
 	tr := cfg.Transport
 	if tr == nil {
-		tr = NewMemTransport(n)
+		tr = NewMemTransport(nw.nbrs)
 	}
 	sched := newCompSchedule(len(comps))
 	// Every node is due at round 0: the model's setup round steps the whole
@@ -249,25 +250,10 @@ func (nw *Network) components() (comp []int, comps [][]int) {
 			}
 		}
 		row := members[start:len(members):len(members)]
-		sortInts(row)
+		slices.Sort(row)
 		comps = append(comps, row)
 	}
 	return comp, comps
-}
-
-// sortInts is an insertion/shell hybrid over the small-to-medium component
-// member rows; kept local so the hot build path stays allocation-free.
-func sortInts(a []int) {
-	for gap := len(a) / 2; gap > 0; gap /= 2 {
-		for i := gap; i < len(a); i++ {
-			v := a[i]
-			j := i
-			for ; j >= gap && a[j-gap] > v; j -= gap {
-				a[j] = a[j-gap]
-			}
-			a[j] = v
-		}
-	}
 }
 
 // compSchedule tracks, per component, the next round at which it must be
@@ -340,7 +326,7 @@ func (s *compSchedule) pop(round int, dst []int) []int {
 		s.stamp[e.comp] = round + 1
 		dst = append(dst, e.comp)
 	}
-	sortInts(dst)
+	slices.Sort(dst)
 	return dst
 }
 

@@ -246,7 +246,7 @@ func (nw *Network) Run(maxRounds int) (Stats, error) {
 	defer nw.stop()
 
 	var stats Stats
-	tr := NewMemTransport(len(nw.nodes))
+	tr := NewMemTransport(nw.nbrs)
 	inboxBusy := make([]bool, len(nw.nodes))
 	for round := 0; ; round++ {
 		if round >= maxRounds {

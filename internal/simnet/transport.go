@@ -30,12 +30,31 @@ type memTransport struct {
 }
 
 // NewMemTransport returns the in-process double-buffered transport for a
-// network of the given size.
-func NewMemTransport(nodes int) Transport {
-	return &memTransport{
-		cur: make([][]Message, nodes),
-		nxt: make([][]Message, nodes),
+// network with the given topology. Each recipient's row in both buffers is
+// presized to its in-degree and carved from one arena per buffer: a round
+// in which every neighbor sends once — the setup broadcast — fills the rows
+// without growing them. A sender that sends a recipient more than one
+// message in a round still works; that row grows by append.
+func NewMemTransport(topology [][]int) Transport {
+	n := len(topology)
+	t := &memTransport{cur: make([][]Message, n), nxt: make([][]Message, n)}
+	indeg := make([]int, n)
+	total := 0
+	for _, row := range topology {
+		for _, j := range row {
+			indeg[j]++
+		}
+		total += len(row)
 	}
+	curArena := make([]Message, total)
+	nxtArena := make([]Message, total)
+	off := 0
+	for i, d := range indeg {
+		t.cur[i] = curArena[off : off : off+d]
+		t.nxt[i] = nxtArena[off : off : off+d]
+		off += d
+	}
+	return t
 }
 
 //schedvet:hot

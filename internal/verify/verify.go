@@ -121,7 +121,7 @@ func LambdaAtLeast(items []engine.Item, a *dual.Assignment, mode engine.Mode, la
 			coeff = it.Height
 		}
 		lhs := a.LHSKeys(it.Demand, coeff, it.Edges)
-		if lhs < lambda*it.Profit-dual.Tolerance*it.Profit {
+		if !dual.Meets(lhs, lambda, it.Profit) {
 			return fmt.Errorf("verify: item %d only %.6f-satisfied, want ≥ %.6f", i, lhs/it.Profit, lambda)
 		}
 	}

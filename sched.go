@@ -371,7 +371,8 @@ func preparedFor(items []engine.Item, opts Options) *engine.Prepared {
 }
 
 func runUnit(items []engine.Item, cfg engine.Config, opts Options, out *Result) ([]int, error) {
-	eres, err := preparedFor(items, opts).RunParallel(cfg, opts.Parallelism)
+	prep := preparedFor(items, opts)
+	eres, err := prep.RunParallel(cfg, opts.Parallelism)
 	if err != nil {
 		return nil, err
 	}
@@ -381,7 +382,8 @@ func runUnit(items []engine.Item, cfg engine.Config, opts Options, out *Result) 
 	if !opts.Simulate {
 		return eres.Selected, nil
 	}
-	dres, err := dist.RunOpts(items, cfg, dist.Options{Recorder: opts.Recorder})
+	// The simulation reuses the layout the engine just solved over.
+	dres, err := dist.RunPrepared(prep, cfg, dist.Options{Recorder: opts.Recorder})
 	if err != nil {
 		return nil, err
 	}
@@ -416,25 +418,26 @@ func runArbitrary(items []engine.Item, cfg engine.Config, opts Options, out *Res
 	if !opts.Simulate {
 		return ares.Selected, nil
 	}
-	// Distributed execution: run the two sub-protocols over the simulator
-	// and combine per resource (§6 overall algorithm).
-	wide, narrow, wideIDs, narrowIDs := engine.SplitWideNarrow(items)
+	// Distributed execution: run the two sub-protocols over the simulator,
+	// each on the class layout the engine just solved over, and combine per
+	// resource (§6 overall algorithm).
+	widePrep, narrowPrep := ap.Classes()
 	var wideSel, narrowSel []int
 	for _, sub := range []struct {
-		items []engine.Item
-		mode  engine.Mode
-		sel   *[]int
+		prep *engine.Prepared
+		mode engine.Mode
+		sel  *[]int
 	}{
-		{wide, engine.Unit, &wideSel},
-		{narrow, engine.Narrow, &narrowSel},
+		{widePrep, engine.Unit, &wideSel},
+		{narrowPrep, engine.Narrow, &narrowSel},
 	} {
-		if len(sub.items) == 0 {
+		if sub.prep == nil {
 			continue
 		}
 		scfg := cfg
 		scfg.Mode = sub.mode
 		scfg.Xi = 0
-		dres, err := dist.RunOpts(sub.items, scfg, dist.Options{Recorder: opts.Recorder})
+		dres, err := dist.RunPrepared(sub.prep, scfg, dist.Options{Recorder: opts.Recorder})
 		if err != nil {
 			return nil, err
 		}
@@ -445,7 +448,7 @@ func runArbitrary(items []engine.Item, cfg engine.Config, opts Options, out *Res
 			out.MaxMessageSize = dres.Stats.MaxMessageSize
 		}
 	}
-	selected, profit := engine.CombineSelections(wide, narrow, wideSel, narrowSel, wideIDs, narrowIDs)
+	selected, profit := ap.Combine(wideSel, narrowSel)
 	if math.Abs(profit-ares.Profit) > 1e-6*math.Max(1, ares.Profit) {
 		return nil, fmt.Errorf("treesched: internal error: simulated profit %v diverged from engine %v", profit, ares.Profit)
 	}
