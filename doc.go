@@ -16,9 +16,9 @@
 //     deadline windows (Theorems 7.1 and 7.2);
 //   - the sequential 3-approximation of Appendix A and exact solvers for
 //     small instances as baselines;
-//   - a faithful synchronous message-passing execution (one goroutine per
-//     processor) with honest round and message accounting, bit-identical to
-//     the fast in-process execution.
+//   - a faithful synchronous message-passing execution (one simulated
+//     processor per demand) with honest round and message accounting,
+//     bit-identical to the fast in-process execution.
 //
 // Quick start:
 //
@@ -61,10 +61,14 @@
 // The budget is spent on one level, across components: the conflict graph
 // of §2 decomposes into connected components that never exchange messages,
 // so the epoch/stage/step schedule runs per component on a pool of up to
-// Parallelism shard workers, and the results are merged back into the
-// serial execution exactly. Inside a component the schedule runs serially
-// on its worker; an instance that is one single component runs the serial
-// engine at every width. The MIS election runs over the conflict incidence
+// Parallelism shard workers, and the raise stacks are merged back into the
+// serial execution exactly. A component is only a sorted list of item ids
+// over the one prepared layout: no items are copied or re-interned, and
+// every component raises into the solve's single global dual at slots no
+// other component touches, so the dual needs no merge. Inside a component
+// the schedule runs serially on its worker, and the serial engine is the
+// same first phase run over every item as one component — the path an
+// instance that is one single component takes at every width. The MIS election runs over the conflict incidence
 // rather than a pairwise adjacency: an item beats every live neighbor iff
 // it is the (priority, index)-minimum live member of each of its demand
 // and edge groups, so a Luby round costs O(Σ|path|), and every per-step
@@ -92,8 +96,8 @@
 // slices with no map hashing. The invariants that keep the three
 // executions — serial engine, sharded pipeline, message-passing simulation
 // — bitwise equal are unchanged: indices are a pure storage relabeling
-// (each execution owns its own index scope; values merge and compare by
-// external key), the arithmetic applies the same deltas to the same
+// (the engine shares one index scope across all components, the simulation
+// gives each node its own; values compare by external key), the arithmetic applies the same deltas to the same
 // logical variables in the same order as the map-backed representation
 // (asserted by a shadow-replay determinism suite), and the dual objective
 // sums in sorted external-key order.
@@ -163,8 +167,8 @@
 // Churn is usually local: a round's delta reaches a few conflict
 // components and leaves the rest identical. Because a component shares no
 // demand and no edge with any other, its first-phase execution — the raise
-// stack with schedule stamps, the shard-local dense α/β, its λ
-// contribution, and its trace — is a pure function of its own items, the
+// stack with schedule stamps, the α/β values at its own dual slots, its
+// λ contribution, and its trace — is a pure function of its own items, the
 // solve configuration, and the seed. Sessions therefore enable the
 // engine's warm-start cache: after every sharded solve, each component's
 // outcome is recorded keyed by its prepared shard and the configuration
@@ -176,8 +180,8 @@
 // Warm results are bitwise identical to cold solves — same selections,
 // profit, λ, dual bound, and trace — because nothing on the replay path
 // re-does arithmetic: the merged global λ is a min over per-shard minima
-// (order-independent, no arithmetic), merged dual values are exact copies
-// into disjoint global slots, and the dual objective sums in sorted
+// (order-independent, no arithmetic), replayed dual values are exact
+// copies into the component's own global slots, and the dual objective sums in sorted
 // external-key order regardless of which components were replayed. Stream
 // drift cannot occur: per-owner PRNG streams are re-seeded per run from
 // (seed, owner), so a replayed component's recorded draws are exactly the
@@ -251,10 +255,10 @@
 //     abandoned span (error return between Start and End) is simply never
 //     accumulated: only EndSpan writes.
 //
-// Within one solve the non-solve phases nest disjointly under PhaseSolve
-// (PhaseMerge is emitted as two segments around PhaseGreedy to preserve
-// this), so per-phase totals sum to at most the solve wall; the gap is
-// uninstrumented work. obs.Recorder turns the stream into a SolveReport
+// Within one solve the non-solve phases nest disjointly under PhaseSolve,
+// except that the PhaseShardSolve spans of concurrent shard workers are
+// busy time and overlap each other; the other per-phase totals sum to at
+// most the solve wall, and the gap is uninstrumented work. obs.Recorder turns the stream into a SolveReport
 // (per-phase durations/span counts, counters, WarmHitRatio) with
 // Report/Take/Reset windowing; obs also supplies the fixed-bucket log₂
 // histograms (doubling bounds, overflow bucket, atomic counts) behind the
@@ -322,7 +326,7 @@
 // with only estimated communication costs. Setting Options.Simulate routes
 // the distributed algorithms through internal/dist instead, which executes
 // the same protocol over the synchronous message-passing simulator of
-// internal/simnet — one goroutine per processor, one processor per demand.
+// internal/simnet — one simulated processor per demand.
 // Each processor derives the fixed epoch/stage/step schedule of Figure 7
 // locally from common knowledge (the engine.Plan) and runs Luby-MIS step
 // elections over real messages. Both executions funnel every dual mutation
@@ -346,11 +350,9 @@
 //
 // # Distributed scale: the batched million-demand runtime
 //
-// internal/dist executes under two interchangeable simnet drivers. The
-// original goroutine driver (dist.DriverGoroutine) runs one goroutine per
-// processor with a per-round channel handshake — faithful, but a million
-// demands means a million goroutines stepped every round. The batched
-// driver (dist.DriverBatched, the default) makes the same execution scale:
+// A simulated processor is not a goroutine: a million demands would mean a
+// million goroutines handshaking every round. internal/dist runs on the
+// batched simnet driver instead, which makes the same execution scale:
 //
 //   - Shared-layout nodes: every processor reads the engine's interned
 //     dense layout (views, critical sets, conflict adjacency) through one
@@ -380,12 +382,11 @@
 //     each recipient's inbox rows to its in-degree. The setup broadcast —
 //     one message per topology edge — fills them without growing a slice.
 //
-// Both drivers produce bit-identical Results and identical simnet Stats —
-// asserted pairwise (and against the in-process engine) by the equivalence
-// and fuzz suites of internal/dist. On fleet workloads the batched driver
+// The Results are bit-identical to the in-process engine's — asserted by
+// the equivalence and fuzz suites of internal/dist — and the simnet Stats
+// of fixed runs are pinned by a golden. On fleet workloads the driver
 // solves 100k demands in seconds and a million demands in minutes
-// end-to-end (see BENCH_dist.json and `schedbench -dist-smoke`), a scale
-// at which the goroutine driver is not practical.
+// end-to-end (see BENCH_dist.json and `schedbench -dist-smoke`).
 //
 // # Determinism rules: the schedvet static-analysis suite
 //
@@ -415,7 +416,7 @@
 //     not allocate maps, call fmt, defer, or box concrete values into
 //     interfaces — locking in the allocation-free shape of the
 //     solve/merge/Apply loops (PRs 4–6). The raise primitives
-//     (dual.RaiseUnit/RaiseNarrow/AddBeta/MergeSlots), the per-step
+//     (dual.RaiseUnit/RaiseNarrow/AddBeta/Restore), the per-step
 //     scan (state.unsatisfied), the incidence kernels (electLuby,
 //     electGreedy, incidenceComponents), the greedy second phase, the
 //     shard merge, Prepared.Apply, and the per-item raise (state.raise)

@@ -15,7 +15,7 @@
 // for the same (items, Config) the two executions are bit-identical: same
 // raises, same δ values, same elections, same Selected set, same Profit,
 // same λ and dual bound. Experiment A3 and the package's equivalence tests
-// assert exactly this — under both simnet drivers.
+// assert exactly this.
 //
 // Since PR 9 the nodes share the engine's read-only interned dense layout
 // (engine.Prepared) through a runContext instead of copying critical sets
@@ -62,26 +62,10 @@ import (
 	"treesched/internal/simnet"
 )
 
-// Driver selects the simnet execution strategy.
-type Driver int
-
-const (
-	// DriverBatched is the default: the batched round scheduler with
-	// per-component fast-forward and a bounded stepping pool — the driver
-	// that scales to a million processors.
-	DriverBatched Driver = iota
-	// DriverGoroutine is the original one-goroutine-per-node handshake
-	// driver, kept as a cross-check: same nodes, same Stats, radically
-	// different execution.
-	DriverGoroutine
-)
-
 // Options tunes RunOpts and RunPrepared beyond the engine Config.
 type Options struct {
-	Driver Driver
-	// Workers bounds the batched driver's stepping pool and the prepare
-	// step's conflict-build pool; ≤0 means GOMAXPROCS. Cannot affect
-	// results, only wall-clock.
+	// Workers bounds the simulator's node-stepping pool; ≤0 means
+	// GOMAXPROCS. Cannot affect results, only wall-clock.
 	Workers int
 	// Recorder observes the run's phases — PhaseDistSetup (RunOpts'
 	// Prepare, context build + node construction), PhaseDistSim (the
@@ -113,9 +97,8 @@ type Result struct {
 	SharedStateBytes int64 // read-only context arenas shared by all nodes
 }
 
-// Run executes the protocol over the simulator (batched driver) and
-// returns the selection, which is bit-identical to engine.Run's for the
-// same items and Config.
+// Run executes the protocol over the simulator and returns the selection,
+// which is bit-identical to engine.Run's for the same items and Config.
 func Run(items []engine.Item, cfg engine.Config) (*Result, error) {
 	return RunOpts(items, cfg, Options{})
 }
@@ -187,12 +170,7 @@ func RunPrepared(prep *engine.Prepared, cfg engine.Config, opts Options) (*Resul
 		rec.EndSpan(engine.PhaseDistSetup, tok)
 		tok = rec.StartSpan(engine.PhaseDistSim)
 	}
-	var stats simnet.Stats
-	if opts.Driver == DriverGoroutine {
-		stats, err = nw.Run(res.ScheduleRounds + 2)
-	} else {
-		stats, err = nw.RunBatched(res.ScheduleRounds+2, simnet.BatchConfig{Workers: workers})
-	}
+	stats, err := nw.RunBatched(res.ScheduleRounds+2, simnet.BatchConfig{Workers: workers})
 	if err != nil {
 		return nil, err
 	}

@@ -2,7 +2,6 @@ package dist_test
 
 import (
 	"errors"
-	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -30,44 +29,10 @@ func treeItems(t testing.TB, wcfg workload.TreeConfig, instSeed int64, kind engi
 	return items
 }
 
-// runBoth executes the distributed protocol under BOTH simnet drivers and
-// asserts they agree on the full Result — selection, profit, λ, bound, the
-// replayed dual, the trace, and the communication Stats. The batched
-// scheduler executes radically differently from the goroutine handshake
-// (sparse stepping, worker-pool rounds, per-component fast-forward), so
-// exact Stats equality is the sharpest available probe that its round
-// semantics are unchanged. Returns the batched result.
-func runBoth(t *testing.T, tag string, items []engine.Item, cfg engine.Config) *dist.Result {
-	t.Helper()
-	batched, err := dist.RunOpts(items, cfg, dist.Options{Driver: dist.DriverBatched})
-	if err != nil {
-		t.Fatalf("%s: batched driver: %v", tag, err)
-	}
-	goro, err := dist.RunOpts(items, cfg, dist.Options{Driver: dist.DriverGoroutine})
-	if err != nil {
-		t.Fatalf("%s: goroutine driver: %v", tag, err)
-	}
-	if !reflect.DeepEqual(batched.Selected, goro.Selected) {
-		t.Errorf("%s: drivers disagree on selection:\nbatched   %v\ngoroutine %v", tag, batched.Selected, goro.Selected)
-	}
-	if batched.Profit != goro.Profit || batched.Lambda != goro.Lambda || batched.Bound != goro.Bound {
-		t.Errorf("%s: drivers disagree on profit/λ/bound: batched (%v, %v, %v) goroutine (%v, %v, %v)",
-			tag, batched.Profit, batched.Lambda, batched.Bound, goro.Profit, goro.Lambda, goro.Bound)
-	}
-	if !reflect.DeepEqual(batched.Trace, goro.Trace) {
-		t.Errorf("%s: drivers disagree on trace", tag)
-	}
-	if !reflect.DeepEqual(batched.Stats, goro.Stats) {
-		t.Errorf("%s: drivers disagree on Stats:\nbatched   %+v\ngoroutine %+v", tag, batched.Stats, goro.Stats)
-	}
-	return batched
-}
-
 // TestEngineEquivalence is the headline invariant: dist and engine.Run
 // return identical results for identical (items, Config) — selection,
 // profit, λ, dual bound, dual variables and raise trace — swept over
-// seeds × modes × decompositions, with the distributed execution checked
-// under both simnet drivers.
+// seeds × modes × decompositions.
 func TestEngineEquivalence(t *testing.T) {
 	seeds := []int64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
 	decomps := []engine.DecompKind{engine.IdealDecomp, engine.BalancingDecomp, engine.RootFixingDecomp}
@@ -85,8 +50,10 @@ func TestEngineEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%v/%v/seed %d: engine: %v", mode, kind, seed, err)
 				}
-				tag := fmt.Sprintf("%v/%v/seed %d", mode, kind, seed)
-				dres := runBoth(t, tag, items, cfg)
+				dres, err := dist.Run(items, cfg)
+				if err != nil {
+					t.Fatalf("%v/%v/seed %d: dist: %v", mode, kind, seed, err)
+				}
 				if !reflect.DeepEqual(eres.Selected, dres.Selected) {
 					t.Errorf("%v/%v/seed %d: selections differ:\nengine %v\ndist   %v",
 						mode, kind, seed, eres.Selected, dres.Selected)
@@ -131,7 +98,10 @@ func TestEquivalenceLineItems(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dres := runBoth(t, fmt.Sprintf("line/seed %d", seed), items, cfg)
+		dres, err := dist.Run(items, cfg)
+		if err != nil {
+			t.Fatalf("line/seed %d: dist: %v", seed, err)
+		}
 		if !reflect.DeepEqual(eres.Selected, dres.Selected) || eres.Profit != dres.Profit {
 			t.Errorf("seed %d: engine (%v, %v) vs dist (%v, %v)",
 				seed, eres.Selected, eres.Profit, dres.Selected, dres.Profit)
@@ -147,7 +117,10 @@ func TestEquivalenceSingleStage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dres := runBoth(t, "single-stage", items, cfg)
+	dres, err := dist.Run(items, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !reflect.DeepEqual(eres.Selected, dres.Selected) || eres.Profit != dres.Profit {
 		t.Errorf("engine (%v, %v) vs dist (%v, %v)", eres.Selected, eres.Profit, dres.Selected, dres.Profit)
 	}
@@ -282,8 +255,7 @@ func TestLubyBudgetMonotone(t *testing.T) {
 
 // TestBudgetOverrunIsTyped forces the Luby budget to one iteration on a
 // conflict chain (item i shares edge i+1 with item i+1), where a single
-// Luby iteration leaves items undecided: on both simnet drivers the overrun
-// must come back as a *dist.BudgetError naming the node, step and live count.
+// Luby iteration leaves items undecided: the overrun must come back as a *dist.BudgetError naming the node, step and live count.
 func TestBudgetOverrunIsTyped(t *testing.T) {
 	dist.ForceLubyBudgetForTest(t, 1)
 	e := func(k int) model.EdgeKey { return model.MakeEdgeKey(0, graph.EdgeID(k)) }
@@ -293,18 +265,16 @@ func TestBudgetOverrunIsTyped(t *testing.T) {
 			Edges: []model.EdgeKey{e(i), e(i + 1)}, Critical: []model.EdgeKey{e(i)}}
 	}
 	cfg := engine.Config{Mode: engine.Unit, Epsilon: 0.2, Seed: 5}
-	for _, driver := range []dist.Driver{dist.DriverBatched, dist.DriverGoroutine} {
-		_, err := dist.RunOpts(items, cfg, dist.Options{Driver: driver})
-		var be *dist.BudgetError
-		if !errors.As(err, &be) {
-			t.Fatalf("driver %v: want *dist.BudgetError, got %v", driver, err)
-		}
-		if be.Budget != 1 || be.Live <= 0 || be.Node < 0 || be.Step < 0 {
-			t.Fatalf("driver %v: implausible budget error %+v", driver, be)
-		}
-		if !strings.Contains(err.Error(), "Luby budget 1") {
-			t.Fatalf("driver %v: message lost the budget: %v", driver, err)
-		}
+	_, err := dist.Run(items, cfg)
+	var be *dist.BudgetError
+	if !errors.As(err, &be) {
+		t.Fatalf("want *dist.BudgetError, got %v", err)
+	}
+	if be.Budget != 1 || be.Live <= 0 || be.Node < 0 || be.Step < 0 {
+		t.Fatalf("implausible budget error %+v", be)
+	}
+	if !strings.Contains(err.Error(), "Luby budget 1") {
+		t.Fatalf("message lost the budget: %v", err)
 	}
 }
 

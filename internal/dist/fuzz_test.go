@@ -12,10 +12,8 @@ import (
 
 // FuzzEngineEquivalence cross-checks the message-passing protocol against
 // the in-process engine on randomized instances: for any instance the
-// builder accepts and the engine solves, the distributed execution — under
-// BOTH simnet drivers, which must additionally agree on the full Result
-// and the communication Stats — must return the identical selection,
-// profit, λ and dual bound. The seed corpus covers both raise modes,
+// builder accepts and the engine solves, the distributed execution must
+// return the identical selection, profit, λ and dual bound. The seed corpus covers both raise modes,
 // several profit spreads and both ε regimes; `go test` replays the corpus,
 // `go test -fuzz=FuzzEngineEquivalence` explores further.
 func FuzzEngineEquivalence(f *testing.F) {
@@ -52,13 +50,9 @@ func FuzzEngineEquivalence(f *testing.F) {
 		if err != nil {
 			t.Skip() // instances the engine rejects are out of scope
 		}
-		dres, err := dist.RunOpts(items, cfg, dist.Options{Driver: dist.DriverBatched})
+		dres, err := dist.Run(items, cfg)
 		if err != nil {
-			t.Fatalf("engine succeeded but batched dist failed: %v", err)
-		}
-		gres, err := dist.RunOpts(items, cfg, dist.Options{Driver: dist.DriverGoroutine})
-		if err != nil {
-			t.Fatalf("engine succeeded but goroutine dist failed: %v", err)
+			t.Fatalf("engine succeeded but dist failed: %v", err)
 		}
 		if !reflect.DeepEqual(eres.Selected, dres.Selected) {
 			t.Fatalf("selections diverged:\nengine %v\ndist   %v", eres.Selected, dres.Selected)
@@ -68,15 +62,6 @@ func FuzzEngineEquivalence(f *testing.F) {
 		}
 		if eres.Lambda != dres.Lambda || eres.Bound != dres.Bound {
 			t.Fatalf("λ/bound diverged: engine (%v, %v) dist (%v, %v)", eres.Lambda, eres.Bound, dres.Lambda, dres.Bound)
-		}
-		if !reflect.DeepEqual(dres.Selected, gres.Selected) || dres.Profit != gres.Profit ||
-			dres.Lambda != gres.Lambda || dres.Bound != gres.Bound {
-			t.Fatalf("drivers diverged:\nbatched   (%v, %v, %v, %v)\ngoroutine (%v, %v, %v, %v)",
-				dres.Selected, dres.Profit, dres.Lambda, dres.Bound,
-				gres.Selected, gres.Profit, gres.Lambda, gres.Bound)
-		}
-		if !reflect.DeepEqual(dres.Stats, gres.Stats) {
-			t.Fatalf("driver Stats diverged:\nbatched   %+v\ngoroutine %+v", dres.Stats, gres.Stats)
 		}
 	})
 }

@@ -11,10 +11,10 @@ import (
 
 // TestDistStatsGolden pins the full communication Stats — every counter and
 // both histograms — and the schedule length of three fixed runs. The
-// cross-driver suites cannot catch a fast-forward answer that names a round
-// too early: both drivers ask the same NextActiveRound, and an early wake-up
-// changes nothing in the Result. It does change which rounds execute, and so
-// SkippedRounds and the busy-node histogram; this golden fails on it.
+// equivalence suites cannot catch a fast-forward answer that names a round
+// too early: an early wake-up changes nothing in the Result. It does change
+// which rounds execute, and so SkippedRounds and the busy-node histogram;
+// this golden fails on it.
 func TestDistStatsGolden(t *testing.T) {
 	cases := []struct {
 		name   string

@@ -61,9 +61,9 @@ func (w refCheckNode) NextActiveRound(now int) int {
 	return w.node.NextActiveRound(now)
 }
 
-// runChecked runs items under the given driver with every node wrapped in
-// refCheckNode and returns the Stats and the number of checked queries.
-func runChecked(tb testing.TB, items []engine.Item, cfg engine.Config, driver Driver) (simnet.Stats, int) {
+// runChecked runs items with every node wrapped in refCheckNode and
+// returns the Stats and the number of checked queries.
+func runChecked(tb testing.TB, items []engine.Item, cfg engine.Config) (simnet.Stats, int) {
 	tb.Helper()
 	plan, err := engine.PlanFor(items, &cfg)
 	if err != nil {
@@ -85,12 +85,7 @@ func runChecked(tb testing.TB, items []engine.Item, cfg engine.Config, driver Dr
 		tb.Fatal(err)
 	}
 	maxRounds := ScheduleLength(plan.TotalSteps(), budget) + 2
-	var stats simnet.Stats
-	if driver == DriverGoroutine {
-		stats, err = nw.Run(maxRounds)
-	} else {
-		stats, err = nw.RunBatched(maxRounds, simnet.BatchConfig{Workers: 1})
-	}
+	stats, err := nw.RunBatched(maxRounds, simnet.BatchConfig{Workers: 1})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -111,8 +106,8 @@ func refItems(tb testing.TB, wcfg workload.TreeConfig, seed int64, kind engine.D
 }
 
 // TestNextActiveRoundMatchesReference checks the closed-form
-// NextActiveRound against the reference walk on every query of full runs
-// under both drivers: both raise modes, the single-stage schedule, every
+// NextActiveRound against the reference walk on every query of full runs:
+// both raise modes, the single-stage schedule, every
 // decomposition, and demands reaching up to three networks, so nodes own
 // several items spread over several epochs. The wrapped run must also
 // produce the unwrapped run's Stats.
@@ -133,15 +128,13 @@ func TestNextActiveRoundMatchesReference(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					for _, driver := range []Driver{DriverBatched, DriverGoroutine} {
-						stats, calls := runChecked(t, items, cfg, driver)
-						if calls == 0 {
-							t.Fatalf("%v/%v/single=%v/seed %d: no fast-forward queries", mode, kind, single, seed)
-						}
-						if stats != want.Stats {
-							t.Errorf("%v/%v/single=%v/seed %d/driver %v: wrapped Stats %+v, want %+v",
-								mode, kind, single, seed, driver, stats, want.Stats)
-						}
+					stats, calls := runChecked(t, items, cfg)
+					if calls == 0 {
+						t.Fatalf("%v/%v/single=%v/seed %d: no fast-forward queries", mode, kind, single, seed)
+					}
+					if stats != want.Stats {
+						t.Errorf("%v/%v/single=%v/seed %d: wrapped Stats %+v, want %+v",
+							mode, kind, single, seed, stats, want.Stats)
 					}
 				}
 			}
@@ -174,6 +167,6 @@ func FuzzNextActiveRound(f *testing.F) {
 		if _, err := engine.PlanFor(items, &cfg); err != nil {
 			t.Skip()
 		}
-		runChecked(t, items, cfg, DriverBatched)
+		runChecked(t, items, cfg)
 	})
 }

@@ -406,30 +406,20 @@ func (a *Assignment) AddBetaOf(k model.EdgeKey, v float64) {
 	a.beta[i] += v
 }
 
-// MergeSlots adds src's α/β into a through precomputed slot translations:
-// slotMap[s] (resp. edgeMap[i]) is the slot in a's index holding the same
-// external demand (edge) as src's slot s (index i). The sharded engine
-// merges disjoint per-component assignments this way — the tables are built
-// once when a component last ran and stay valid because interning is
-// append-only, replacing the per-entry key lookups of AddAlphaOf/AddBetaOf.
+// Restore writes saved values back at dense addresses: α at slots[i]
+// becomes alpha[i] and β at edges[i] becomes beta[i] — the inverse of
+// reading them with Alpha and Beta. The sharded engine's warm-start cache
+// replays a component's dual into a fresh assignment this way.
 //
 //schedvet:hot
-func (a *Assignment) MergeSlots(src *Assignment, slotMap, edgeMap []int32) {
-	for s, v := range src.alpha {
-		if v != 0 {
-			t := slotMap[s]
-			a.growAlpha(t)
-			a.alpha[t] += v
-		}
+func (a *Assignment) Restore(slots []int32, alpha []float64, edges []int32, beta []float64) {
+	for i, s := range slots {
+		a.growAlpha(s)
+		a.alpha[s] = alpha[i]
 	}
-	for i, v := range src.beta {
-		if v != 0 {
-			t := edgeMap[i]
-			if int(t) >= len(a.beta) {
-				a.beta = append(a.beta, make([]float64, int(t)+1-len(a.beta))...)
-			}
-			a.beta[t] += v
-		}
+	a.growBeta(edges)
+	for i, e := range edges {
+		a.beta[e] = beta[i]
 	}
 }
 
@@ -490,9 +480,9 @@ func (a *Assignment) BetaMap() map[model.EdgeKey]float64 {
 
 // Value returns the dual objective Σα + Σβ. The sum runs over sorted
 // external keys so that equal assignments produce bitwise-equal values
-// regardless of slot numbering — the sharded parallel engine merges
-// per-component duals into a differently-indexed global assignment and must
-// reproduce the serial run's Bound exactly.
+// regardless of slot numbering — an index patched by incremental updates
+// numbers its slots differently from a fresh one over the same items, and
+// both must report the same Bound exactly.
 func (a *Assignment) Value() float64 {
 	demandOrder, edgeOrder := a.ix.valueOrders(len(a.alpha), len(a.beta))
 	v := 0.0

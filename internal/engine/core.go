@@ -142,34 +142,33 @@ func BetaGain(mode Mode, criticalLen int, delta float64) float64 {
 	return delta
 }
 
-// lambdaBound scores the assignment against every item's dual constraint in
-// item order: λ = min(1, min LHS/p) and the weak-duality bound Value/λ
-// (Lemma 3.1). Dense counterpart of dual.Lambda/Bound over ConstraintViews;
-// items are validated to have positive profit, so no zero-profit guard is
-// needed here beyond the λ ≤ 0 check.
-func (c *Core) lambdaBound(views []ItemView) (lambda, bound float64) {
-	lambda = c.lambdaOnly(views)
-	if lambda <= 0 {
-		return lambda, math.Inf(1)
-	}
-	return lambda, c.Dual.Value() / lambda
-}
-
-// lambdaOnly is the λ half of lambdaBound: min(1, min LHS/p) over views.
-// Split out so the sharded engine can score each component against its own
-// shard-local dual — the constraints of disjoint components read disjoint
+// lambdaOnly scores the assignment against the dual constraints of the
+// views of ids: λ = min(1, min LHS/p). Items are validated to have positive
+// profit, so no zero-profit guard is needed. Each component is scored over
+// its own members: the constraints of disjoint components read disjoint
 // dual variables, and min is order-independent and performs no arithmetic,
-// so the min over per-shard minima is bitwise the global λ. Warm replays
-// then reuse the cached per-shard value without touching the views at all.
-func (c *Core) lambdaOnly(views []ItemView) float64 {
+// so the min over per-component minima is bitwise the global λ. Warm
+// replays then reuse a cached per-component value without touching the
+// views at all.
+func (c *Core) lambdaOnly(views []ItemView, ids []int) float64 {
 	lambda := 1.0
-	for i := range views {
-		v := &views[i]
+	for _, id := range ids {
+		v := &views[id]
 		if r := c.Dual.LHS(v.Slot, c.Coeff(v), v.Edges) / v.Profit; r < lambda {
 			lambda = r
 		}
 	}
 	return lambda
+}
+
+// boundAt is the weak-duality bound of an assignment whose constraints are
+// all λ-satisfied: scaling it by 1/λ yields a feasible dual, so
+// Opt ≤ Value/λ (Lemma 3.1); +Inf when λ ≤ 0.
+func boundAt(d *dual.Assignment, lambda float64) float64 {
+	if lambda <= 0 {
+		return math.Inf(1)
+	}
+	return d.Value() / lambda
 }
 
 // SelectGreedy is the shared second phase: pop the phase-1 raise history

@@ -41,8 +41,8 @@ import (
 //   - the lazily-built shard decomposition is marked stale, with the churn
 //     reach — every member of a group of a departed, displaced or arriving
 //     item — recorded as touched; the next ensureShards recomputes the
-//     components and reuses the relabeled shard of every component the
-//     churn never reached.
+//     components and keeps the preShard (and warm-cache entry) of every
+//     component the churn never reached.
 //
 // Apply mutates the Prepared (including the item slice it was constructed
 // over) and must not overlap a Run/RunParallel or another Apply on the same

@@ -39,7 +39,7 @@ func (p *Prepared) SelectGreedy(mode Mode, steps [][]int) (selected []int, profi
 // order would report. The dist runtime uses this to recover the global dual
 // from per-node raise logs without any node ever holding global state.
 func (p *Prepared) ReplayDual(mode Mode, steps [][]int) (d *dual.Assignment, lambda, bound float64) {
-	core := p.lay.newCore(mode)
+	core := NewCoreWithIndex(mode, p.lay.ix)
 	for _, ids := range steps {
 		for _, id := range ids {
 			core.Raise(&p.lay.views[id])
@@ -48,6 +48,7 @@ func (p *Prepared) ReplayDual(mode Mode, steps [][]int) (d *dual.Assignment, lam
 	if len(p.items) == 0 {
 		return core.Dual, 0, 0
 	}
-	lambda, bound = core.lambdaBound(p.lay.views)
-	return core.Dual, lambda, bound
+	var ids []int
+	lambda = core.lambdaOnly(p.lay.views, allIDs(&ids, len(p.items)))
+	return core.Dual, lambda, boundAt(core.Dual, lambda)
 }

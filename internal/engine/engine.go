@@ -121,12 +121,15 @@ type Result struct {
 	Trace *Trace // nil unless Config.RecordTrace
 }
 
-// state is the mutable run state shared by the phases. The dual raises,
-// coefficient handling and threshold checks live in the shared Core so the
-// in-process run and the dist protocol cannot drift; all dual addressing
-// goes through the layout's precomputed dense views.
+// state is the mutable first-phase state of one component (the whole item
+// set when there is one). The dual raises, coefficient handling and
+// threshold checks live in the shared Core so the in-process run and the
+// dist protocol cannot drift; all dual addressing goes through the
+// Prepared's global dense views, and the Core's assignment is the solve's
+// one global dual, which concurrent components write at disjoint slots.
 type state struct {
-	items []Item
+	items []Item // the whole prepared set; ids selects the component
+	ids   []int  // the component's item ids, ascending
 	lay   *layout
 	cfg   Config
 	plan  *Plan
@@ -135,6 +138,9 @@ type state struct {
 	stack []step
 	trace *Trace
 	steps int
+
+	raised        int // items raised
+	maxStageSteps int // most steps taken by one (epoch, stage)
 }
 
 // solveScratch bundles a state's reusable per-run buffers, split out so the
@@ -144,11 +150,14 @@ type state struct {
 // traces — is allocated elsewhere, so returning a scratch to the pool while
 // the Result lives is safe.
 type solveScratch struct {
-	// streams holds one splitmix64 priority stream per owner slot, re-seeded
-	// by newState exactly as the dist nodes seed theirs (NewStream).
+	// streams holds one splitmix64 priority stream per owner slot of the
+	// global layout; newState re-seeds the component's own slots exactly as
+	// the dist nodes seed theirs (NewStream).
 	streams []Stream
 	// uBuf is per-step scratch for the unsatisfied set.
 	uBuf []int
+	// all holds the ids 0..n−1 runSerial solves as one component.
+	all []int
 	// Election scratch (conflicts.go): per-position priorities and live /
 	// membership flags over the current unsatisfied set, and per-group
 	// stamps and minima over the layout's groups (demand slots first, then
@@ -253,30 +262,28 @@ func Run(items []Item, cfg Config) (*Result, error) {
 	return Prepare(items).Run(cfg)
 }
 
-// newState assembles run state over a prepared plan and dense layout; the
-// layout's views double as the conflict incidence (conflicts.go). The
-// layout is read-only: concurrent states (the Solver's cached Prepared,
-// shard workers) may share one. scr may be a pooled scratch (nil allocates
-// a private one); its streams are re-seeded here, so a recycled scratch
-// starts every run from the same stream positions a fresh one would.
-func newState(items []Item, lay *layout, cfg Config, plan *Plan, scr *solveScratch) *state {
-	if scr == nil {
-		scr = &solveScratch{}
-	}
+// newState assembles the first-phase state of the component ids over the
+// prepared layout, raising into d. The layout is read-only and the
+// components of one solve write disjoint slots of d, so concurrent states
+// (shard workers, concurrent solves) may share both. Only the component's
+// owner slots are re-seeded — once per member item, before any draw, which
+// is idempotent — so a recycled scratch starts every run from the same
+// stream positions a fresh one would, at O(|ids|) cost.
+func (p *Prepared) newState(ids []int, d *dual.Assignment, cfg Config, plan *Plan, scr *solveScratch) *state {
+	lay := p.lay
 	st := &state{
-		items: items,
+		items: p.items,
+		ids:   ids,
 		lay:   lay,
 		cfg:   cfg,
 		plan:  plan,
-		core:  lay.newCore(cfg.Mode),
+		core:  &Core{Mode: cfg.Mode, Dual: d},
 		scr:   scr,
 	}
-	if cap(scr.streams) < len(lay.ownerID) {
-		scr.streams = make([]Stream, len(lay.ownerID))
-	}
-	scr.streams = scr.streams[:len(lay.ownerID)]
-	for s, owner := range lay.ownerID {
-		scr.streams[s] = NewStream(cfg.Seed, owner)
+	scr.streams = scratch(&scr.streams, len(lay.ownerID), false)
+	for _, id := range ids {
+		o := lay.ownerSlot[id]
+		scr.streams[o] = NewStream(cfg.Seed, lay.ownerID[o])
 	}
 	if cfg.RecordTrace {
 		st.trace = &Trace{}
@@ -284,37 +291,71 @@ func newState(items []Item, lay *layout, cfg Config, plan *Plan, scr *solveScrat
 	return st
 }
 
-// runSerial executes both phases over the whole conflict graph on the
-// calling goroutine. The sharded pipeline (RunParallel) runs firstPhase per
-// component instead and merges; a single component runs here.
+// runSerial solves the whole item set as one component: the same first
+// phase every shard runs, over ids 0..n−1, then the shared tail. It takes
+// no component decomposition.
 func (p *Prepared) runSerial(cfg Config, plan *Plan) (*Result, error) {
-	scr := scratchPool.Get().(*solveScratch)
-	defer scratchPool.Put(scr)
 	rec := p.rec
 	var tok int64
 	if rec != nil {
 		tok = rec.StartSpan(PhaseSerialSolve)
 	}
-	st := newState(p.items, p.lay, cfg, plan, scr)
-	res := &Result{Dual: st.core.Dual, Trace: st.trace}
-	res.Delta = MaxCritical(p.items)
-	if err := st.firstPhase(res); err != nil {
+	d := dual.NewWithIndex(p.lay.ix)
+	scr := scratchPool.Get().(*solveScratch)
+	out, err := p.runShard(allIDs(&scr.all, len(p.items)), d, cfg, plan, scr)
+	scratchPool.Put(scr)
+	if err != nil {
 		return nil, err
 	}
 	if rec != nil {
 		rec.EndSpan(PhaseSerialSolve, tok)
+	}
+	res := p.newResult(plan)
+	res.Raised, res.MaxStageSteps, res.Trace = out.raised, out.maxStageSteps, out.trace
+	steps := make([][]int, len(out.stack))
+	for i := range out.stack {
+		steps[i] = out.stack[i].items
+		res.MISIters += out.stack[i].misIters
+	}
+	p.finish(res, cfg, steps, d, out.lambda)
+	return res, nil
+}
+
+// allIDs reslices *buf to the ids 0..n−1 and returns it.
+func allIDs(buf *[]int, n int) []int {
+	ids := scratch(buf, n, false)
+	for i := range ids {
+		ids[i] = i
+	}
+	return ids
+}
+
+// newResult returns a Result carrying the plan-level fields of a solve.
+func (p *Prepared) newResult(plan *Plan) *Result {
+	return &Result{Delta: MaxCritical(p.items), Epochs: plan.MaxGroup, Stages: plan.Stages}
+}
+
+// finish is the tail every solve shares once its raise stack is known:
+// steps lists the raised ids of each global step in execution order, d is
+// the final global dual and lambda the min over components of their
+// per-component λ. It runs the greedy second phase and scores the dual.
+func (p *Prepared) finish(res *Result, cfg Config, steps [][]int, d *dual.Assignment, lambda float64) {
+	res.Steps = len(steps)
+	res.CommRounds = 2*res.MISIters + 2*res.Steps
+	rec := p.rec
+	var tok int64
+	if rec != nil {
 		tok = rec.StartSpan(PhaseGreedy)
 	}
-	st.secondPhase(res)
+	res.Selected, res.Profit = selectGreedyViews(p.lay.views, cfg.Mode, steps,
+		p.lay.ix.NumDemands(), p.lay.ix.NumEdges())
 	if rec != nil {
 		rec.EndSpan(PhaseGreedy, tok)
 	}
-
+	res.Dual = d
 	if len(p.items) > 0 {
-		res.Lambda, res.Bound = st.core.lambdaBound(p.lay.views)
+		res.Lambda, res.Bound = lambda, boundAt(d, lambda)
 	}
-	res.CommRounds = 2*res.MISIters + 2*res.Steps
-	return res, nil
 }
 
 func validate(items []Item, cfg *Config) error {
@@ -391,16 +432,14 @@ func MaxCritical(items []Item) int {
 	return d
 }
 
-// firstPhase runs the epoch/stage/step schedule of Figure 7.
-func (st *state) firstPhase(res *Result) error {
+// firstPhase runs the epoch/stage/step schedule of Figure 7 over the
+// state's component.
+func (st *state) firstPhase() error {
 	groups := make(map[int][]int)
-	for i := range st.items {
-		g := st.items[i].Group
-		groups[g] = append(groups[g], i)
+	for _, id := range st.ids {
+		g := st.items[id].Group
+		groups[g] = append(groups[g], id)
 	}
-	res.Epochs = st.plan.MaxGroup
-	res.Stages = st.plan.Stages
-
 	for k := 1; k <= st.plan.MaxGroup; k++ {
 		members := groups[k]
 		if len(members) == 0 {
@@ -415,19 +454,15 @@ func (st *state) firstPhase(res *Result) error {
 				}
 				u := st.unsatisfied(members, thresh)
 				if len(u) == 0 {
-					if iter > res.MaxStageSteps {
-						res.MaxStageSteps = iter
-					}
+					st.maxStageSteps = max(st.maxStageSteps, iter)
 					break
 				}
 				st.steps++
-				res.Steps++
 				chosen, iters := st.independentSet(u)
-				res.MISIters += iters
 				for _, id := range chosen {
 					st.raise(id)
 				}
-				res.Raised += len(chosen)
+				st.raised += len(chosen)
 				st.stack = append(st.stack, step{epoch: k, stage: j + 1, iter: iter, items: chosen, misIters: iters})
 			}
 		}
@@ -479,16 +514,6 @@ func (st *state) raise(id int) {
 	if st.trace != nil {
 		st.trace.Events = append(st.trace.Events, RaiseEvent{Step: st.steps, Item: id, Delta: delta})
 	}
-}
-
-// secondPhase pops the stack through the shared greedy rule (dense form).
-func (st *state) secondPhase(res *Result) {
-	steps := make([][]int, len(st.stack))
-	for i := range st.stack {
-		steps[i] = st.stack[i].items
-	}
-	res.Selected, res.Profit = selectGreedyViews(st.lay.views, st.cfg.Mode, steps,
-		st.lay.ix.NumDemands(), st.lay.ix.NumEdges())
 }
 
 func profitRange(items []Item) (pmin, pmax float64) {

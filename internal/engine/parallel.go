@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"math"
 	"runtime"
 	"slices"
 	"sync"
@@ -26,14 +25,17 @@ import (
 //   - a serial Luby election runs until every active component is decided,
 //     with decided vertices drawing nothing, so the serial iteration count
 //     at a position is the max over the shards active there;
-//   - the merged stack feeds the same greedy second phase, and the merged
-//     dual assignment (disjoint α and β, copied into the global dense
-//     layout by external key) yields the same λ and bound.
+//   - the merged stack feeds the same greedy second phase, and the dual
+//     needs no merge at all: every component raises into the solve's one
+//     global dense dual, at demand slots and edge indices no other
+//     component touches, so λ and the bound are the serial ones.
 //
-// The result is bit-identical to Run for every worker count. Because each
-// shard's execution is self-contained, it is also replayable: with the
-// warm-start cache enabled (warm.go), shards untouched by churn reuse their
-// previous outcome instead of re-running the schedule.
+// A component is only a list of item ids over the Prepared's layout, and
+// the serial engine is the one-component case of the same first phase
+// (runSerial). The result is bit-identical to Run for every worker count.
+// Because each shard's execution is self-contained, it is also replayable:
+// with the warm-start cache enabled (warm.go), shards untouched by churn
+// reuse their previous outcome instead of re-running the schedule.
 
 // ConflictComponents returns the connected components of a conflict
 // adjacency (as produced by BuildConflicts): each component is an ascending
@@ -74,28 +76,27 @@ func ConflictComponents(adj [][]int) [][]int {
 
 // shardOut is one conflict component's completed first-phase execution:
 // exactly what mergeShards consumes and nothing transient — the raise stack
-// with schedule stamps, the shard-local dense dual assignment, the trace
-// (when recorded), and the per-shard counters. The warm-start cache retains
-// these across solves and replays them verbatim for untouched components,
-// so a shardOut must never alias pooled scratch.
+// (global item ids) with schedule stamps, the trace (when recorded), λ over
+// the component's items, and the per-shard counters. The warm-start cache
+// retains these across solves and replays them verbatim for untouched
+// components, so a shardOut must never alias pooled scratch.
 type shardOut struct {
-	pre           *preShard
 	stack         []step
-	dual          *dual.Assignment
 	trace         *Trace
 	lambda        float64 // min(1, min LHS/p) over this shard's items
 	raised        int
 	maxStageSteps int
 
-	// Merge translations, computed once when the shard runs and reused by
-	// every replay: global item ids per stack position, and the global
-	// demand slot / edge index for each shard-local one. Valid for the
-	// Prepared's lifetime because interning is append-only — Apply never
-	// renumbers existing slots — and a component's global ids are stable
-	// for as long as its preShard (and hence this shardOut) is reused.
-	gids  [][]int
-	gslot []int32
-	gedge []int32
+	// With the warm cache on, the component's final dual: α at the demand
+	// slots and β at the edge indices its items reference, each listed
+	// once. Replay writes them into a later solve's fresh global dual; the
+	// addresses stay valid for the Prepared's lifetime because interning is
+	// append-only — Apply never renumbers existing slots — and the
+	// component is unchanged for as long as its preShard is reused.
+	slots []int32
+	alpha []float64
+	edges []int32
+	beta  []float64
 }
 
 // RunParallel executes the same algorithm as Run, sharded over the
@@ -149,67 +150,68 @@ func (p *Prepared) runParallel(cfg Config, workers int) (*Result, error) {
 		p.warm.noteCold()
 		return p.runSerial(cfg, plan)
 	}
-	outs, err := p.runShards(cfg, plan, workers, warm)
+	d := dual.NewWithIndex(p.lay.ix)
+	outs, err := p.runShards(cfg, plan, workers, warm, d)
 	if err != nil {
 		return nil, err
 	}
-	return p.mergeShards(cfg, plan, outs)
+	return p.mergeShards(cfg, plan, outs, d), nil
 }
 
-// runShard executes one component's first phase over (pooled) scratch and
-// captures its outcome, including the merge translations into the global
-// layout (glay is only read, so shards may build them concurrently). The
-// outcome depends on the shard alone, never on which worker ran it, which
-// is what keeps warm-start replays valid at any worker count.
-func runShard(pre *preShard, cfg Config, plan *Plan, scr *solveScratch, glay *layout) (*shardOut, error) {
-	st := newState(pre.items, pre.lay, cfg, plan, scr)
-	res := &Result{Dual: st.core.Dual, Trace: st.trace}
-	if err := st.firstPhase(res); err != nil {
+// runShard executes one component's first phase over (pooled) scratch,
+// raising into the solve's global dual d, and captures its outcome. The
+// component writes only the slots of d its own items reference, so shards
+// may run concurrently over one d. The outcome depends on the component
+// alone, never on which worker ran it, which is what keeps warm-start
+// replays valid at any worker count.
+func (p *Prepared) runShard(ids []int, d *dual.Assignment, cfg Config, plan *Plan, scr *solveScratch) (*shardOut, error) {
+	st := p.newState(ids, d, cfg, plan, scr)
+	if err := st.firstPhase(); err != nil {
 		return nil, err
 	}
-	out := &shardOut{
-		pre:           pre,
+	return &shardOut{
 		stack:         st.stack,
-		dual:          st.core.Dual,
 		trace:         st.trace,
-		lambda:        st.core.lambdaOnly(pre.lay.views),
-		raised:        res.Raised,
-		maxStageSteps: res.MaxStageSteps,
-	}
-	out.gids = make([][]int, len(out.stack))
-	for pos := range out.stack {
-		ids := make([]int, len(out.stack[pos].items))
-		for i, id := range out.stack[pos].items {
-			ids[i] = pre.comp[id]
-		}
-		out.gids[pos] = ids
-	}
-	six := pre.lay.ix
-	out.gslot = make([]int32, six.NumDemands())
-	for s := range out.gslot {
-		t, ok := glay.ix.DemandSlot(six.DemandID(int32(s)))
-		if !ok {
-			panic("engine: shard demand missing from the global index")
-		}
-		out.gslot[s] = t
-	}
-	out.gedge = make([]int32, six.NumEdges())
-	for i := range out.gedge {
-		t, ok := glay.ix.EdgeSlot(six.EdgeKey(int32(i)))
-		if !ok {
-			panic("engine: shard edge missing from the global index")
-		}
-		out.gedge[i] = t
-	}
-	return out, nil
+		lambda:        st.core.lambdaOnly(p.lay.views, ids),
+		raised:        st.raised,
+		maxStageSteps: st.maxStageSteps,
+	}, nil
 }
 
-// runShards produces every shard's first-phase outcome: cached outcomes are
-// replayed for shards whose preShard survived since the last solve under
-// the same configuration, the rest run on a worker pool with per-worker
-// pooled scratch. When warm, the full outcome set is recorded for the next
-// round.
-func (p *Prepared) runShards(cfg Config, plan *Plan, workers int, warm bool) ([]*shardOut, error) {
+// keepDual records the component's final values in d for warm replay,
+// listing each demand slot and edge index its items reference once.
+func (out *shardOut) keepDual(d *dual.Assignment, lay *layout, ids []int, scr *solveScratch) {
+	nd := scr.growGroups(lay)
+	mark := scr.nextStamp()
+	for _, id := range ids {
+		v := &lay.views[id]
+		if scr.gStamp[v.Slot] != mark {
+			scr.gStamp[v.Slot] = mark
+			out.slots = append(out.slots, v.Slot)
+		}
+		for _, e := range v.Edges {
+			if scr.gStamp[nd+e] != mark {
+				scr.gStamp[nd+e] = mark
+				out.edges = append(out.edges, e)
+			}
+		}
+	}
+	out.alpha = make([]float64, len(out.slots))
+	for i, s := range out.slots {
+		out.alpha[i] = d.Alpha(s)
+	}
+	out.beta = make([]float64, len(out.edges))
+	for i, e := range out.edges {
+		out.beta[i] = d.Beta(e)
+	}
+}
+
+// runShards produces every shard's first-phase outcome over the global
+// dual d: cached outcomes are replayed (their kept values written into d)
+// for shards whose preShard survived since the last solve under the same
+// configuration, the rest run on a worker pool with per-worker pooled
+// scratch. When warm, the full outcome set is recorded for the next round.
+func (p *Prepared) runShards(cfg Config, plan *Plan, workers int, warm bool, d *dual.Assignment) ([]*shardOut, error) {
 	var key warmKey
 	var cached map[*preShard]*shardOut
 	if warm {
@@ -220,6 +222,7 @@ func (p *Prepared) runShards(cfg Config, plan *Plan, workers int, warm bool) ([]
 	todo := make([]int, 0, len(p.shards))
 	for s, pre := range p.shards {
 		if out := cached[pre]; out != nil {
+			d.Restore(out.slots, out.alpha, out.edges, out.beta)
 			outs[s] = out
 			continue
 		}
@@ -234,6 +237,25 @@ func (p *Prepared) runShards(cfg Config, plan *Plan, workers int, warm bool) ([]
 
 	if len(todo) > 0 {
 		errs := make([]error, len(todo))
+		run := func(i int, scr *solveScratch) {
+			var stok int64
+			if rec != nil {
+				stok = rec.StartSpan(PhaseShardSolve)
+			}
+			comp := p.shards[todo[i]].comp
+			out, err := p.runShard(comp, d, cfg, plan, scr)
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			if warm {
+				out.keepDual(d, p.lay, comp, scr)
+			}
+			outs[todo[i]] = out
+			if rec != nil {
+				rec.EndSpan(PhaseShardSolve, stok)
+			}
+		}
 		// One shard worker per runnable component, up to workers. The
 		// per-shard outcome is bitwise fixed, so the worker count is a pure
 		// performance knob.
@@ -243,15 +265,8 @@ func (p *Prepared) runShards(cfg Config, plan *Plan, workers int, warm bool) ([]
 		}
 		if compWorkers <= 1 {
 			scr := scratchPool.Get().(*solveScratch)
-			for i, s := range todo {
-				var stok int64
-				if rec != nil {
-					stok = rec.StartSpan(PhaseShardSolve)
-				}
-				outs[s], errs[i] = runShard(p.shards[s], cfg, plan, scr, p.lay)
-				if rec != nil && errs[i] == nil {
-					rec.EndSpan(PhaseShardSolve, stok)
-				}
+			for i := range todo {
+				run(i, scr)
 			}
 			scratchPool.Put(scr)
 		} else {
@@ -264,14 +279,7 @@ func (p *Prepared) runShards(cfg Config, plan *Plan, workers int, warm bool) ([]
 					scr := scratchPool.Get().(*solveScratch)
 					defer scratchPool.Put(scr)
 					for i := range work {
-						var stok int64
-						if rec != nil {
-							stok = rec.StartSpan(PhaseShardSolve)
-						}
-						outs[todo[i]], errs[i] = runShard(p.shards[todo[i]], cfg, plan, scr, p.lay)
-						if rec != nil && errs[i] == nil {
-							rec.EndSpan(PhaseShardSolve, stok)
-						}
+						run(i, scr)
 					}
 				}()
 			}
@@ -308,28 +316,20 @@ type stamped struct {
 // trace merge, both inside mergeShards — so steady-state re-merges (the
 // warm replay path runs one every solve) allocate next to nothing.
 type mergeScratch struct {
-	all      []stamped
-	steps    [][]int
-	perStep  [][]stamped
-	misIters []int
-	ids      []int
+	all     []stamped
+	steps   [][]int
+	perStep [][]stamped
+	ids     []int
 }
 
 var mergePool = sync.Pool{New: func() any { return new(mergeScratch) }}
 
-// mergeShards reassembles the serial execution from per-shard first phases.
+// mergeShards reassembles the serial execution from per-shard first phases
+// whose raises all landed in the global dual d.
 //
 //schedvet:hot
-func (p *Prepared) mergeShards(cfg Config, plan *Plan, outs []*shardOut) (*Result, error) {
-	res := &Result{
-		Delta:  MaxCritical(p.items),
-		Epochs: plan.MaxGroup,
-		Stages: plan.Stages,
-	}
-
-	// PhaseMerge is emitted as two segments disjoint from PhaseGreedy —
-	// stamp sort + grouping before it, dual merge + λ fold after — so the
-	// per-phase durations of one solve never overlap.
+func (p *Prepared) mergeShards(cfg Config, plan *Plan, outs []*shardOut, d *dual.Assignment) *Result {
+	res := p.newResult(plan)
 	rec := p.rec
 	var mtok int64
 	if rec != nil {
@@ -337,26 +337,30 @@ func (p *Prepared) mergeShards(cfg Config, plan *Plan, outs []*shardOut) (*Resul
 	}
 
 	scr := mergePool.Get().(*mergeScratch)
-	//schedvet:ok hotpath one pool-restore defer per merge, not per item; keeps the scratch returned on every error path
+	//schedvet:ok hotpath one pool-restore defer per merge, not per item; keeps the scratch returned on every path
 	defer func() {
 		scr.all = scr.all[:0]
 		scr.steps = scr.steps[:0]
 		scr.perStep = scr.perStep[:0]
-		scr.misIters = scr.misIters[:0]
 		scr.ids = scr.ids[:0]
 		mergePool.Put(scr)
 	}()
 
-	// Collect every shard step with its schedule stamp and global item ids.
+	// Collect every shard step with its schedule stamp. λ is a min —
+	// order-independent and arithmetic-free — so the min of the cached
+	// per-shard minima is bitwise the serial global λ, and warm replays
+	// skip the full constraint scan.
 	all := scr.all[:0]
+	lambda := 1.0
 	for s, out := range outs {
 		res.Raised += out.raised
-		if out.maxStageSteps > res.MaxStageSteps {
-			res.MaxStageSteps = out.maxStageSteps
+		res.MaxStageSteps = max(res.MaxStageSteps, out.maxStageSteps)
+		if out.lambda < lambda {
+			lambda = out.lambda
 		}
 		for pos := range out.stack {
 			st := &out.stack[pos]
-			all = append(all, stamped{st.epoch, st.stage, st.iter, s, pos, out.gids[pos]})
+			all = append(all, stamped{st.epoch, st.stage, st.iter, s, pos, st.items})
 		}
 	}
 	scr.all = all
@@ -380,7 +384,6 @@ func (p *Prepared) mergeShards(cfg Config, plan *Plan, outs []*shardOut) (*Resul
 	// later append reallocates it — reuse only converges faster).
 	steps := scr.steps[:0]
 	perStep := scr.perStep[:0] // contributing shard records, for the trace
-	misIters := scr.misIters[:0]
 	idbuf := scr.ids[:0]
 	for i := 0; i < len(all); {
 		j := i
@@ -388,76 +391,30 @@ func (p *Prepared) mergeShards(cfg Config, plan *Plan, outs []*shardOut) (*Resul
 		iters := 0
 		for ; j < len(all) && all[j].epoch == all[i].epoch && all[j].stage == all[i].stage && all[j].iter == all[i].iter; j++ {
 			idbuf = append(idbuf, all[j].items...)
-			if it := outs[all[j].shard].stack[all[j].pos].misIters; it > iters {
-				iters = it
-			}
+			iters = max(iters, outs[all[j].shard].stack[all[j].pos].misIters)
 		}
 		ids := idbuf[start:]
 		slices.Sort(ids)
 		steps = append(steps, ids)
 		perStep = append(perStep, all[i:j])
-		misIters = append(misIters, iters)
+		res.MISIters += iters
 		i = j
 	}
-	scr.steps, scr.perStep, scr.misIters, scr.ids = steps, perStep, misIters, idbuf
-	res.Steps = len(steps)
-	for _, it := range misIters {
-		res.MISIters += it
-	}
-	res.CommRounds = 2*res.MISIters + 2*res.Steps
-
-	// Second phase over the merged stack, exactly as the serial run.
-	var gtok int64
-	if rec != nil {
-		rec.EndSpan(PhaseMerge, mtok)
-		gtok = rec.StartSpan(PhaseGreedy)
-	}
-	res.Selected, res.Profit = selectGreedyViews(p.lay.views, cfg.Mode, steps,
-		p.lay.ix.NumDemands(), p.lay.ix.NumEdges())
-	if rec != nil {
-		rec.EndSpan(PhaseGreedy, gtok)
-		mtok = rec.StartSpan(PhaseMerge)
-	}
-
-	// Merge the disjoint dual assignments into the global dense layout
-	// (components partition demands and edges, so every global slot is
-	// written by at most one shard) through each shard's cached slot
-	// translations, and score them globally.
-	core := p.lay.newCore(cfg.Mode)
-	for _, out := range outs {
-		core.Dual.MergeSlots(out.dual, out.gslot, out.gedge)
-	}
-	res.Dual = core.Dual
-	if len(p.items) > 0 {
-		// λ is a min — order-independent and arithmetic-free — so the min of
-		// the cached per-shard minima is bitwise the serial global λ, and warm
-		// replays skip the full constraint scan.
-		lambda := 1.0
-		for _, out := range outs {
-			if out.lambda < lambda {
-				lambda = out.lambda
-			}
-		}
-		res.Lambda = lambda
-		if lambda <= 0 {
-			res.Bound = math.Inf(1)
-		} else {
-			res.Bound = core.Dual.Value() / lambda
-		}
-	}
-
+	scr.steps, scr.perStep, scr.ids = steps, perStep, idbuf
 	if cfg.RecordTrace {
 		res.Trace = mergeTraces(outs, perStep)
 	}
 	if rec != nil {
 		rec.EndSpan(PhaseMerge, mtok)
 	}
-	return res, nil
+	p.finish(res, cfg, steps, d, lambda)
+	return res
 }
 
-// mergeTraces rebuilds the serial raise trace: shard events carry
-// shard-local step indices; the merged trace renumbers them to global step
-// indices and interleaves same-step raises in ascending item order.
+// mergeTraces rebuilds the serial raise trace: shard events carry global
+// item ids but shard-local step indices; the merged trace renumbers them to
+// global step indices and interleaves same-step raises in ascending item
+// order.
 func mergeTraces(outs []*shardOut, perStep [][]stamped) *Trace {
 	// Group each shard's events by local step index (events are appended in
 	// step order, so the grouping is a single scan).
@@ -476,11 +433,8 @@ func mergeTraces(outs []*shardOut, perStep [][]stamped) *Trace {
 		var evs []RaiseEvent
 		for _, rec := range group {
 			for _, ev := range events[rec.shard][rec.pos+1] {
-				evs = append(evs, RaiseEvent{
-					Step:  g + 1,
-					Item:  outs[rec.shard].pre.comp[ev.Item],
-					Delta: ev.Delta,
-				})
+				ev.Step = g + 1
+				evs = append(evs, ev)
 			}
 		}
 		slices.SortFunc(evs, func(a, b RaiseEvent) int { return a.Item - b.Item })

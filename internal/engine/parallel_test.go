@@ -188,6 +188,33 @@ func TestShardWarmReplayAcrossWidths(t *testing.T) {
 	}
 }
 
+// TestReshardAllocs pins that rebuilding the component decomposition costs
+// allocations per component, not per item: a component is a list of ids
+// over the prepared layout, never a copy of its items or a layout of its
+// own. Two pinned fleets with the same component count, one with 4× the
+// demands per component, stay under one bound.
+func TestReshardAllocs(t *testing.T) {
+	const bound = 32
+	comps := -1
+	for _, demands := range []int{128, 512} {
+		items := treeItems(t, workload.TreeConfig{
+			Vertices: 8, Trees: 8, Demands: demands, ProfitRatio: 8,
+			AccessMin: 1, AccessMax: 1,
+		}, 1)
+		n := len(engine.ItemComponents(items))
+		if comps >= 0 && n != comps {
+			t.Fatalf("%d demands: %d components, want %d like the smaller fleet", demands, n, comps)
+		}
+		comps = n
+		p := engine.Prepare(items)
+		allocs := testing.AllocsPerRun(20, func() { engine.Reshard(p) })
+		t.Logf("%d demands, %d items, %d components: %.0f allocs per reshard", demands, len(items), n, allocs)
+		if allocs > bound {
+			t.Errorf("%d demands: %.0f allocs per reshard, want ≤ %d", demands, allocs, bound)
+		}
+	}
+}
+
 // TestRunArbitraryParallelBitIdentical covers the §6 wide/narrow split
 // under the sharded pipeline with mixed heights.
 func TestRunArbitraryParallelBitIdentical(t *testing.T) {

@@ -12,10 +12,10 @@ import (
 // across solves — the dense dual layout (interned demand slots and edge
 // indices plus per-item views), the demand/edge group member lists that
 // complete the §2 conflict incidence, and, for the sharded pipeline, the
-// per-component relabelings. The root Solver caches Prepared values keyed
-// by instance content, so the steady state of a scheduling service
-// re-solving a fixed network set skips interning entirely and goes straight
-// into the schedule.
+// conflict components as id lists over that one layout. The root Solver
+// caches Prepared values keyed by instance content, so the steady state of
+// a scheduling service re-solving a fixed network set skips interning
+// entirely and goes straight into the schedule.
 // For churning workloads — demands arriving and departing on an unchanged
 // network — Prepared.Apply (delta.go) updates the same state incrementally.
 
@@ -61,19 +61,14 @@ func (lay *layout) internOwner(owner int) int32 {
 	return s
 }
 
-// newCore returns a fresh per-run core over the layout's frozen index.
-func (lay *layout) newCore(mode Mode) *Core {
-	return NewCoreWithIndex(mode, lay.ix)
-}
-
 // Prepared is an item set with its Config-independent run state: dense
 // layout, dense group member lists, and (lazily) the connected components
-// and per-shard relabelings of the sharded pipeline, plus the pairwise
-// conflict adjacency for callers that ask for it. A Prepared is immutable
-// during runs apart from the lazily-built structures (guarded by shardMu
-// and adjOnce), so it is safe for concurrent Run/RunParallel calls — the
-// property the root Solver's cross-solve cache relies on. Apply (delta.go) mutates the state between runs; it must never
-// overlap a run or another Apply on the same Prepared.
+// of the sharded pipeline, plus the pairwise conflict adjacency for callers
+// that ask for it. A Prepared is immutable during runs apart from the
+// lazily-built structures (guarded by shardMu and adjOnce), so it is safe
+// for concurrent Run/RunParallel calls — the property the root Solver's
+// cross-solve cache relies on. Apply (delta.go) mutates the state between
+// runs; it must never overlap a run or another Apply on the same Prepared.
 type Prepared struct {
 	items []Item
 	lay   *layout
@@ -109,11 +104,10 @@ type Prepared struct {
 	rec Recorder
 }
 
-// preShard is one conflict component relabeled to dense shard-local ids.
+// preShard is one conflict component: a view over the Prepared's layout
+// named by its item ids. Its pointer identity is the warm cache's key.
 type preShard struct {
-	comp  []int   // global item ids, ascending
-	items []Item  // re-indexed copies (ID = position in comp)
-	lay   *layout // shard-local dense layout (and conflict incidence)
+	comp []int // global item ids, ascending
 }
 
 // Prepare builds the Config-independent run state of an item set: the
@@ -172,13 +166,12 @@ func (p *Prepared) Run(cfg Config) (*Result, error) {
 	return res, err
 }
 
-// ensureShards builds the component decomposition and per-shard relabelings,
-// reusing both across runs. After an Apply, the components are recomputed
-// over the incidence (linear in Σ|path|), and every component untouched by
-// any delta since the last build — same member ids, no member's groups,
-// content or id changed — keeps its relabeled shard (items and shard-local
-// layout) verbatim; only components the churn actually reached are
-// relabeled again.
+// ensureShards builds the component decomposition, reusing it across runs.
+// After an Apply, the components are recomputed over the incidence (linear
+// in Σ|path|), and every component untouched by any delta since the last
+// build — same member ids, no member's groups, content or id changed —
+// keeps its preShard, and with it its warm-cache entry; only components the
+// churn actually reached get fresh ones.
 func (p *Prepared) ensureShards() {
 	p.shardMu.Lock()
 	defer p.shardMu.Unlock()
@@ -219,13 +212,7 @@ func (p *Prepared) ensureShards() {
 			p.shards[s] = sh
 			continue
 		}
-		sh := &preShard{comp: comp, items: make([]Item, len(comp))}
-		for i, id := range comp {
-			sh.items[i] = p.items[id]
-			sh.items[i].ID = i
-		}
-		sh.lay = buildLayout(sh.items)
-		p.shards[s] = sh
+		p.shards[s] = &preShard{comp: comp}
 	}
 	if p.rec != nil {
 		p.rec.EndSpan(PhaseComponents, tok)

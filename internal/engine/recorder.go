@@ -15,10 +15,12 @@ package engine
 // equivalence suite.
 
 // Phase identifies one instrumented segment of the solve path. Phases
-// emitted within one solve are disjoint and nested under PhaseSolve (apart
-// from PhasePrepare/PhaseUpdate, which callers emit around whole
-// operations), so per-phase duration sums bound the solve wall time from
-// below.
+// emitted within one solve nest under PhaseSolve (apart from
+// PhasePrepare/PhaseUpdate, which callers emit around whole operations)
+// and are disjoint, with one exception: PhaseShardSolve spans are
+// per-worker busy time, and the spans of shards running concurrently
+// overlap each other. The other per-phase durations of one solve
+// therefore sum to at most its wall time.
 type Phase uint8
 
 const (
@@ -36,20 +38,22 @@ const (
 	// PhaseApply brackets Prepared.Apply — the in-place delta patch.
 	PhaseApply
 	// PhaseComponents brackets ensureShards when it actually (re)builds
-	// the component decomposition and shard relabelings; cached calls
-	// emit nothing.
+	// the component decomposition; cached calls emit nothing.
 	PhaseComponents
 	// PhaseShardSolve brackets one conflict component's first-phase
-	// schedule execution (runShard). Replayed components emit nothing —
-	// the gap between CounterComponents and PhaseShardSolve's span count
-	// is the warm-replay saving.
+	// schedule execution (runShard) on a shard worker; spans of
+	// concurrent workers overlap. Replayed components emit nothing — the
+	// gap between CounterComponents and PhaseShardSolve's span count is
+	// the warm-replay saving.
 	PhaseShardSolve
-	// PhaseSerialSolve brackets the serial engine's first phase (the
-	// single-graph path taken at workers ≤ 1 or for one giant component).
+	// PhaseSerialSolve brackets the first phase of a solve run as one
+	// component over every item (taken at workers ≤ 1 or for one giant
+	// component).
 	PhaseSerialSolve
-	// PhaseMerge brackets mergeShards' deterministic reassembly: stamp
-	// sort + grouping before the greedy phase, dual merge + λ fold after
-	// it (two segments per merge, disjoint from PhaseGreedy).
+	// PhaseMerge brackets mergeShards' deterministic reassembly of the
+	// shard stacks: stamp sort, grouping, λ fold and trace merge, before
+	// and disjoint from PhaseGreedy. The dual needs no merge: shards raise
+	// into one global dual.
 	PhaseMerge
 	// PhaseGreedy brackets the second phase: greedy selection over the
 	// merged (or serial) raise stack.

@@ -4,16 +4,17 @@ import "sync"
 
 // This file implements the warm-started incremental dual cache of the
 // sharded pipeline. The epoch/stage/step schedule is component-local: a
-// shard's execution reads nothing outside its preShard (items and
-// shard-local layout) and the run configuration, and its per-owner priority
-// streams are re-seeded from scratch every run (NewStream over the external
-// owner id) — so two runs of the same preShard under the same configuration
-// are the same computation, bit for bit. The cache exploits that: after a
-// sharded solve it records every shard's first-phase outcome (final dense
-// α/β assignment, raise stack, trace, step counters), and the next solve
-// replays those outcomes verbatim for every shard whose preShard pointer
-// survived — re-running the schedule only where Apply actually changed the
-// item set. The merged Result is built by the same deterministic shard
+// shard's execution reads nothing but its own items' views and dual slots
+// in the global layout and the run configuration, and its per-owner
+// priority streams are re-seeded from scratch every run (NewStream over
+// the external owner id) — so two runs of the same preShard under the same
+// configuration are the same computation, bit for bit. The cache exploits
+// that: after a sharded solve it records every shard's first-phase outcome
+// (final α/β values at the component's own slots, raise stack, trace, step
+// counters), and the next solve replays those outcomes verbatim for every
+// shard whose preShard pointer survived — writing the kept values into its
+// fresh global dual and re-running the schedule only where Apply actually
+// changed the item set. The merged Result is built by the same deterministic shard
 // merge either way, so warm solves are bitwise identical to cold solves.
 //
 // Invalidation rides on ensureShards' existing reuse discipline: a cache
@@ -95,8 +96,9 @@ type warmState struct {
 // solves record per-component outcomes and replay them for components left
 // untouched by intervening Applies. Results are unaffected — warm solves
 // are bitwise identical to cold ones — only latency changes. The cache
-// retains the last solve's per-component state (duals, stacks, traces), so
-// enable it on long-lived session state, not on one-shot solves.
+// retains the last solve's per-component state (dual values, stacks,
+// traces), so enable it on long-lived session state, not on one-shot
+// solves.
 func (p *Prepared) EnableWarmStart() {
 	p.warm.mu.Lock()
 	p.warm.enabled = true

@@ -9,7 +9,7 @@ import (
 
 // This file is the batched round scheduler — the driver that makes
 // million-node networks simulable. Three ideas, each preserving the
-// synchronous semantics of Run exactly:
+// synchronous semantics of the model exactly:
 //
 //  1. Batched delivery: no per-node goroutines or channel handshakes.
 //     Each executed round steps the due nodes (mail in the inbox, or their
@@ -29,10 +29,6 @@ import (
 //     and recipients are topology neighbors), so a component's schedule is
 //     self-contained: the min over its members' NextActiveRound answers,
 //     plus any mail addressed into it.
-//
-// Stats are computed by the same rules as Run — same executed rounds, same
-// busy/skip accounting — so the two drivers must agree exactly, which the
-// dist equivalence suites assert.
 
 // BatchConfig configures RunBatched.
 type BatchConfig struct {
@@ -73,7 +69,7 @@ func (nw *Network) RunBatched(maxRounds int, cfg BatchConfig) (Stats, error) {
 	}
 	sched := newCompSchedule(len(comps))
 	// Every node is due at round 0: the model's setup round steps the whole
-	// network once, exactly as the goroutine driver does.
+	// network once.
 	nodeNext := make([]int, n)
 	for c := range comps {
 		sched.setSpontaneous(c, 0)
@@ -158,9 +154,9 @@ func (nw *Network) RunBatched(maxRounds int, cfg BatchConfig) (Stats, error) {
 				}
 				sched.setMail(comp[m.To], round+1)
 			}
-			// A node is busy when it received or sent this round — the same
-			// rule the goroutine driver applies to every node; non-due nodes
-			// are frozen (no mail, no send), so counting the due suffices.
+			// A node is busy when it received or sent this round; non-due
+			// nodes are frozen (no mail, no send), so counting the due
+			// suffices.
 			if dueMail[k] || len(out.outbox) > 0 {
 				busyNodes++
 			}
@@ -295,7 +291,7 @@ func (s *compSchedule) setSpontaneous(c, round int) {
 }
 
 // setMail records that mail addressed into comp will be delivered at round.
-// The drivers call it only for round+1 of the currently executing round, so
+// The driver calls it only for round+1 of the currently executing round, so
 // at most one mail round per comp is ever pending.
 //
 //schedvet:hot

@@ -70,57 +70,6 @@ func TestBatchedRoundTripDelivery(t *testing.T) {
 	}
 }
 
-// TestBatchedStatsMatchGoroutine is the driver-parity pin at the simnet
-// level: identical node programs under both drivers yield bit-identical
-// Stats — rounds, busy rounds, skipped rounds, messages, sizes.
-func TestBatchedStatsMatchGoroutine(t *testing.T) {
-	build := func() ([]Node, [][]int) {
-		// Two components: a 5-node token chain (active every round until the
-		// token passes) and a pair of far-future sleepers exercising the
-		// fast-forward path.
-		n := 7
-		nodes := make([]Node, n)
-		topo := make([][]int, n)
-		for i := 0; i < 5; i++ {
-			nodes[i] = ffWrap{&chainNode{id: i, n: 5}}
-			if i > 0 {
-				topo[i] = append(topo[i], i-1)
-			}
-			if i < 4 {
-				topo[i] = append(topo[i], i+1)
-			}
-		}
-		nodes[5] = &sleeperNode{id: 5, wake: 400, peer: 6}
-		nodes[6] = &sleeperNode{id: 6, wake: 900, peer: 5}
-		topo[5] = []int{6}
-		topo[6] = []int{5}
-		return nodes, topo
-	}
-
-	gNodes, gTopo := build()
-	gnw, err := New(gNodes, gTopo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gStats, err := gnw.Run(2000)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	bNodes, bTopo := build()
-	bnw, err := New(bNodes, bTopo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bStats, err := bnw.RunBatched(2000, BatchConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(gStats, bStats) {
-		t.Errorf("drivers disagree on Stats:\ngoroutine %+v\nbatched   %+v", gStats, bStats)
-	}
-}
-
 // TestBatchedComponentIsolation pins sparse stepping: a component that
 // finishes early is never stepped again while an unrelated component keeps
 // the run alive for hundreds of rounds.
@@ -228,27 +177,15 @@ func TestBatchedNodePanicSurfacesAsError(t *testing.T) {
 }
 
 func TestBatchedRunTwiceFails(t *testing.T) {
-	mk := func() *Network {
-		nw, err := New([]Node{&sleeperNode{id: 0, wake: 1, peer: -1}}, [][]int{{}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return nw
+	nw, err := New([]Node{&sleeperNode{id: 0, wake: 1, peer: -1}}, [][]int{{}})
+	if err != nil {
+		t.Fatal(err)
 	}
-	nw := mk()
 	if _, err := nw.RunBatched(10, BatchConfig{}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := nw.RunBatched(10, BatchConfig{}); err == nil {
 		t.Error("second RunBatched should fail")
-	}
-	// Mixing drivers on one network is also a double run.
-	nw = mk()
-	if _, err := nw.Run(10); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := nw.RunBatched(10, BatchConfig{}); err == nil {
-		t.Error("RunBatched after Run should fail")
 	}
 }
 

@@ -42,11 +42,10 @@ func (n *burstNode) Round(round int, inbox []Message) []Message {
 
 func (n *burstNode) Done() bool { return n.round >= 1 }
 
-// TestStatsHistogramsSum is the histogram bookkeeping invariant on the
-// goroutine driver: every busy round lands in exactly one BusyNodeHist
-// bucket and every delivered message in exactly one MsgSizeHist bucket, so
-// the histograms sum to BusyRounds and Messages respectively — the
-// property the dist equivalence suites then pin across both drivers.
+// TestStatsHistogramsSum is the histogram bookkeeping invariant: every
+// busy round lands in exactly one BusyNodeHist bucket and every delivered
+// message in exactly one MsgSizeHist bucket, so the histograms sum to
+// BusyRounds and Messages respectively.
 func TestStatsHistogramsSum(t *testing.T) {
 	// A star: the hub broadcasts size-5 payloads to 6 leaves, each leaf
 	// echoes a size-1 payload back in round 1.
@@ -56,14 +55,14 @@ func TestStatsHistogramsSum(t *testing.T) {
 	for i := 1; i <= leaves; i++ {
 		topo[0] = append(topo[0], i)
 		topo[i] = []int{0}
-		nodes[i] = &burstNode{id: i, neighbors: []int{0}, size: 1}
+		nodes[i] = ffWrap{&burstNode{id: i, neighbors: []int{0}, size: 1}}
 	}
-	nodes[0] = &burstNode{id: 0, neighbors: topo[0], size: 5}
+	nodes[0] = ffWrap{&burstNode{id: 0, neighbors: topo[0], size: 5}}
 	nw, err := New(nodes, topo)
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats, err := nw.Run(10)
+	stats, err := nw.RunBatched(10, BatchConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

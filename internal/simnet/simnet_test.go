@@ -36,42 +36,6 @@ func (n *echoNode) Round(round int, inbox []Message) []Message {
 
 func (n *echoNode) Done() bool { return n.round >= 1 }
 
-func TestRoundTripDelivery(t *testing.T) {
-	// Triangle topology: everyone hears everyone.
-	topo := [][]int{{1, 2}, {0, 2}, {0, 1}}
-	nodes := make([]Node, 3)
-	echoes := make([]*echoNode, 3)
-	for i := range nodes {
-		echoes[i] = &echoNode{id: i, neighbors: topo[i]}
-		nodes[i] = echoes[i]
-	}
-	nw, err := New(nodes, topo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stats, err := nw.Run(10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Messages != 6 {
-		t.Errorf("messages = %d, want 6", stats.Messages)
-	}
-	if stats.Rounds < 2 {
-		t.Errorf("rounds = %d, want ≥ 2", stats.Rounds)
-	}
-	for i, e := range echoes {
-		if len(e.heard) != 2 {
-			t.Errorf("node %d heard %v, want 2 messages", i, e.heard)
-		}
-		// Delivery is sorted by sender.
-		for j := 1; j < len(e.heard); j++ {
-			if e.heard[j] < e.heard[j-1] {
-				t.Errorf("node %d inbox out of order: %v", i, e.heard)
-			}
-		}
-	}
-}
-
 // violatorNode tries to message a non-neighbor.
 type violatorNode struct{ sent bool }
 
@@ -89,25 +53,52 @@ type idleNode struct{ rounds int }
 func (n *idleNode) Round(round int, inbox []Message) []Message { n.rounds++; return nil }
 func (n *idleNode) Done() bool                                 { return true }
 
-func TestTopologyEnforced(t *testing.T) {
-	nodes := []Node{&violatorNode{}, &idleNode{}}
-	nw, err := New(nodes, [][]int{{}, {}}) // no links
-	if err != nil {
-		t.Fatal(err)
+// forgerNode sends once, either under another node's id or with a nil
+// payload, to its one neighbor.
+type forgerNode struct {
+	nilPayload bool
+	sent       bool
+}
+
+func (n *forgerNode) Round(round int, inbox []Message) []Message {
+	if n.sent {
+		return nil
 	}
-	if _, err := nw.Run(5); err == nil || !strings.Contains(err.Error(), "non-neighbor") {
-		t.Fatalf("expected topology violation, got %v", err)
+	n.sent = true
+	if n.nilPayload {
+		return []Message{{From: 0, To: 1}}
+	}
+	return []Message{{From: 1, To: 1, Payload: intPayload(0)}}
+}
+func (n *forgerNode) Done() bool { return n.sent }
+
+// TestTopologyEnforced covers the message checks other than the neighbor
+// rule (TestBatchedTopologyEnforced): a forged sender and a nil payload
+// fail the run.
+func TestTopologyEnforced(t *testing.T) {
+	for _, tc := range []struct {
+		nilPayload bool
+		want       string
+	}{{false, "forged sender"}, {true, "nil payload"}} {
+		nodes := []Node{ffWrap{&forgerNode{nilPayload: tc.nilPayload}}, ffWrap{&idleNode{}}}
+		nw, err := New(nodes, [][]int{{1}, {0}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := nw.RunBatched(5, BatchConfig{}); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("want %q error, got %v", tc.want, err)
+		}
 	}
 }
 
+// TestMaxRoundsExceeded: the round limit also holds across a fast-forward,
+// when the next active round lies beyond it.
 func TestMaxRoundsExceeded(t *testing.T) {
-	// A node that never finishes.
-	n := &neverDone{}
-	nw, err := New([]Node{n}, [][]int{{}})
+	nw, err := New([]Node{&sleeperNode{id: 0, wake: 1000, peer: -1}}, [][]int{{}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := nw.Run(7); err == nil || !strings.Contains(err.Error(), "7 rounds") {
+	if _, err := nw.RunBatched(100, BatchConfig{}); err == nil || !strings.Contains(err.Error(), "100 rounds") {
 		t.Fatalf("expected round-limit error, got %v", err)
 	}
 }
@@ -161,7 +152,7 @@ func TestChainTakesLinearRounds(t *testing.T) {
 	nodes := make([]Node, n)
 	topo := make([][]int, n)
 	for i := 0; i < n; i++ {
-		nodes[i] = &chainNode{id: i, n: n}
+		nodes[i] = ffWrap{&chainNode{id: i, n: n}}
 		if i > 0 {
 			topo[i] = append(topo[i], i-1)
 		}
@@ -173,7 +164,7 @@ func TestChainTakesLinearRounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats, err := nw.Run(50)
+	stats, err := nw.RunBatched(50, BatchConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,13 +183,13 @@ func TestChainTakesLinearRounds(t *testing.T) {
 
 func TestStatsSizes(t *testing.T) {
 	topo := [][]int{{1}, {0}}
-	a := &echoNode{id: 0, neighbors: []int{1}}
-	b := &echoNode{id: 1, neighbors: []int{0}}
+	a := &ffEcho{echoNode{id: 0, neighbors: []int{1}}}
+	b := &ffEcho{echoNode{id: 1, neighbors: []int{0}}}
 	nw, err := New([]Node{a, b}, topo)
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats, err := nw.Run(10)
+	stats, err := nw.RunBatched(10, BatchConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,16 +198,18 @@ func TestStatsSizes(t *testing.T) {
 	}
 }
 
+// TestRunTwiceFails: a run that failed still counts as the network's one
+// run.
 func TestRunTwiceFails(t *testing.T) {
-	nw, err := New([]Node{&idleNode{}}, [][]int{{}})
+	nw, err := New([]Node{ffWrap{&neverDone{}}}, [][]int{{}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := nw.Run(5); err != nil {
-		t.Fatal(err)
+	if _, err := nw.RunBatched(3, BatchConfig{}); err == nil {
+		t.Fatal("endless node finished")
 	}
-	if _, err := nw.Run(5); err == nil {
-		t.Error("second Run should fail")
+	if _, err := nw.RunBatched(3, BatchConfig{}); err == nil || !strings.Contains(err.Error(), "already run") {
+		t.Errorf("second run after a failure: got %v", err)
 	}
 }
 
@@ -232,12 +225,21 @@ func (p *panicNode) Round(round int, inbox []Message) []Message {
 }
 func (p *panicNode) Done() bool { return false }
 
+// TestNodePanicSurfacesAsError: a node panicking in a pool lane, on a
+// network wide enough to fan out, fails the run instead of the process.
 func TestNodePanicSurfacesAsError(t *testing.T) {
-	nw, err := New([]Node{&panicNode{}}, [][]int{{}})
+	const n = 4 * stepGrain
+	nodes := make([]Node, n)
+	topo := make([][]int, n)
+	for i := range nodes {
+		nodes[i] = ffWrap{&neverDone{}}
+	}
+	nodes[n-1] = ffWrap{&panicNode{}}
+	nw, err := New(nodes, topo)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := nw.Run(10); err == nil || !strings.Contains(err.Error(), "panicked") {
+	if _, err := nw.RunBatched(10, BatchConfig{Workers: 4}); err == nil || !strings.Contains(err.Error(), "panicked") {
 		t.Fatalf("want panic error, got %v", err)
 	}
 }
@@ -257,38 +259,37 @@ func (p *errPanicNode) Round(round int, inbox []Message) []Message {
 }
 func (p *errPanicNode) Done() bool { return false }
 
-// TestNodeErrorPanicIsWrapped: on both drivers, a node that panics with an
-// error value fails the run with an error that still matches that value.
+// TestNodeErrorPanicIsWrapped: a node that panics with an error value
+// fails the run with an error that still matches that value.
 func TestNodeErrorPanicIsWrapped(t *testing.T) {
-	for _, batched := range []bool{false, true} {
-		nw, err := New([]Node{ffWrap{&errPanicNode{}}}, [][]int{{}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if batched {
-			_, err = nw.RunBatched(10, BatchConfig{})
-		} else {
-			_, err = nw.Run(10)
-		}
-		if !errors.Is(err, errInjected) || !strings.Contains(err.Error(), "panicked") {
-			t.Fatalf("batched=%v: want wrapped injected fault, got %v", batched, err)
-		}
+	nw, err := New([]Node{ffWrap{&errPanicNode{}}}, [][]int{{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = nw.RunBatched(10, BatchConfig{})
+	if !errors.Is(err, errInjected) || !strings.Contains(err.Error(), "panicked") {
+		t.Fatalf("want wrapped injected fault, got %v", err)
 	}
 }
 
+// TestNoGoroutineLeaks: the stepping pool's workers exit with the run, on
+// networks wide enough that every round fans out.
 func TestNoGoroutineLeaks(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for trial := 0; trial < 20; trial++ {
-		topo := [][]int{{1, 2}, {0, 2}, {0, 1}}
-		nodes := make([]Node, 3)
-		for i := range nodes {
-			nodes[i] = &echoNode{id: i, neighbors: topo[i]}
+		const n = 4 * stepGrain
+		nodes := make([]Node, n)
+		topo := make([][]int, n)
+		for i := 0; i < n; i += 2 {
+			nodes[i] = &ffEcho{echoNode{id: i, neighbors: []int{i + 1}}}
+			nodes[i+1] = &ffEcho{echoNode{id: i + 1, neighbors: []int{i}}}
+			topo[i], topo[i+1] = []int{i + 1}, []int{i}
 		}
 		nw, err := New(nodes, topo)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := nw.Run(10); err != nil {
+		if _, err := nw.RunBatched(10, BatchConfig{Workers: 4}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -154,8 +154,8 @@ type Options struct {
 	Epsilon float64
 	Seed    int64
 	// Simulate executes the algorithm over the synchronous message-passing
-	// simulator (one goroutine per processor) instead of the in-process
-	// engine. Results are identical; the simulator additionally reports
+	// simulator (one simulated processor per demand, stepped round by
+	// round on a bounded worker pool) instead of the in-process engine. Results are identical; the simulator additionally reports
 	// honest round and message counts.
 	Simulate bool
 	// SingleStage switches to the Panconesi–Sozio-style schedule

@@ -287,7 +287,7 @@ func (sess *Session) Update(c Churn) ([]int, error) {
 		// Compact the accreted stale layout state: re-prepare over the
 		// current (already densely-indexed) items. Solve results are
 		// unaffected — they are a pure function of the item slice. The warm
-		// cache dies with the retired Prepared (its component relabelings are
+		// cache dies with the retired Prepared (its cached slot addresses are
 		// invalid under the compacted layout), so the next solve runs cold;
 		// fold the retired counters into the session totals first.
 		w := sess.p.WarmStats()

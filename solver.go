@@ -54,7 +54,7 @@ type Solver struct {
 const maxCachedLayouts = 1024
 
 // maxCachedPrepared bounds the Solver's prepared-instance caches. Prepared
-// entries carry the interned layout, member lists and shard relabelings of
+// entries carry the interned layout, member lists and component lists of
 // a whole item set, so the bound is tighter than the decomposition cache's.
 const maxCachedPrepared = 128
 
