@@ -1,6 +1,9 @@
 package simnet
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 // sleeperNode stays idle until its wake round, sends one message to its
 // neighbor, then is done. It supports fast-forwarding.
@@ -68,9 +71,54 @@ func (s *stallerNode) Round(round int, inbox []Message) []Message { return nil }
 func (s *stallerNode) Done() bool                                 { return false }
 func (s *stallerNode) NextActiveRound(now int) int                { return -1 }
 
+// TestFastForwardDeadlockDetected: a deadlock is also caught after a
+// fast-forward, once the last scheduled node has finished and a stalled
+// node in another component remains.
+func TestFastForwardDeadlockDetected(t *testing.T) {
+	sleeper := &sleeperNode{id: 0, wake: 50, peer: -1}
+	nw, err := New([]Node{sleeper, &stallerNode{}}, [][]int{{}, {}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = nw.RunBatched(100, BatchConfig{})
+	if err == nil || !strings.Contains(err.Error(), "deadlock at round 50") {
+		t.Fatalf("want deadlock error at round 50, got %v", err)
+	}
+	if sleeper.executed != 2 {
+		t.Errorf("sleeper executed %d rounds, want 2 (round 0 and its wake round)", sleeper.executed)
+	}
+}
+
 // badForwarder reports a non-future round, which the coordinator rejects.
 type badForwarder struct{ rounds int }
 
 func (b *badForwarder) Round(round int, inbox []Message) []Message { b.rounds++; return nil }
 func (b *badForwarder) Done() bool                                 { return false }
 func (b *badForwarder) NextActiveRound(now int) int                { return 0 }
+
+// stuckForwarder sleeps until its wake round, then keeps reporting the
+// current round as its next active one.
+type stuckForwarder struct{ wake int }
+
+func (s *stuckForwarder) Round(round int, inbox []Message) []Message { return nil }
+func (s *stuckForwarder) Done() bool                                 { return false }
+func (s *stuckForwarder) NextActiveRound(now int) int {
+	if now < s.wake {
+		return s.wake
+	}
+	return now
+}
+
+// TestFastForwardRejectsPastRounds: reporting the current round (not only
+// an earlier one) is rejected, also after a fast-forward
+// (TestBatchedRejectsPastRounds covers round 0).
+func TestFastForwardRejectsPastRounds(t *testing.T) {
+	nw, err := New([]Node{&stuckForwarder{wake: 20}}, [][]int{{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = nw.RunBatched(100, BatchConfig{})
+	if err == nil || !strings.Contains(err.Error(), "non-future active round 20 at round 20") {
+		t.Fatalf("want non-future error at round 20, got %v", err)
+	}
+}

@@ -2,6 +2,7 @@ package simnet
 
 import (
 	"errors"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -35,6 +36,52 @@ func (n *echoNode) Round(round int, inbox []Message) []Message {
 }
 
 func (n *echoNode) Done() bool { return n.round >= 1 }
+
+// TestRoundTripDelivery: on a complete graph every inbox arrives in
+// ascending sender order for any stepping pool size, and the exchange
+// spans a send round and a receive round.
+func TestRoundTripDelivery(t *testing.T) {
+	const n = 5
+	for _, workers := range []int{1, 4} {
+		topo := make([][]int, n)
+		nodes := make([]Node, n)
+		echoes := make([]*ffEcho, n)
+		for i := range nodes {
+			for j := 0; j < n; j++ {
+				if j != i {
+					topo[i] = append(topo[i], j)
+				}
+			}
+			echoes[i] = &ffEcho{echoNode{id: i, neighbors: topo[i]}}
+			nodes[i] = echoes[i]
+		}
+		nw, err := New(nodes, topo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stats, err := nw.RunBatched(10, BatchConfig{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats.Messages != n*(n-1) {
+			t.Errorf("workers=%d: messages = %d, want %d", workers, stats.Messages, n*(n-1))
+		}
+		if stats.Rounds < 2 {
+			t.Errorf("workers=%d: rounds = %d, want ≥ 2", workers, stats.Rounds)
+		}
+		for i, e := range echoes {
+			want := make([]int, 0, n-1)
+			for j := 0; j < n; j++ {
+				if j != i {
+					want = append(want, j)
+				}
+			}
+			if !reflect.DeepEqual(e.heard, want) {
+				t.Errorf("workers=%d: node %d heard %v, want %v", workers, i, e.heard, want)
+			}
+		}
+	}
+}
 
 // violatorNode tries to message a non-neighbor.
 type violatorNode struct{ sent bool }
