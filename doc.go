@@ -116,8 +116,9 @@
 // demand and shared edge — is fused into one linear pass: the interned
 // demand slots and edge indices double as the conflict grouping (no second
 // hashing of the same keys). The groups are the whole §2 conflict
-// structure: the elections and the component decomposition run over them
-// directly, and no pairwise adjacency is built on the solve path.
+// structure: the elections, the component decomposition and the dist
+// runtime's processor topology run over them directly, and no product path
+// builds the pairwise adjacency.
 //
 // For churning workloads the prepared state is a value to update, not to
 // rebuild. Solver.Session pins a solver to one instance whose networks are
@@ -264,8 +265,8 @@
 // histograms (doubling bounds, overflow bucket, atomic counts) behind the
 // serving layer's latency/solve/queue-wait/batch-size families. The
 // simulator keeps its own per-run histograms in simnet.Stats
-// (BusyNodeHist, MsgSizeHist — plain arrays, identical across both
-// drivers). Egress: cmd/schedserve exports Prometheus text exposition on
+// (BusyNodeHist, MsgSizeHist — plain arrays, pinned by the dist Stats
+// golden). Egress: cmd/schedserve exports Prometheus text exposition on
 // /metrics (validated end-to-end by serve.ValidateExposition, also
 // runnable as `schedserve -validate-metrics URL`), JSON on /debug/vars and
 // net/http/pprof under -pprof; `schedbench -trace-json` attaches recorders
@@ -355,10 +356,14 @@
 // batched simnet driver instead, which makes the same execution scale:
 //
 //   - Shared-layout nodes: every processor reads the engine's interned
-//     dense layout (views, critical sets, conflict adjacency) through one
-//     immutable run context instead of copying critical sets and conflict
-//     maps per node. Private per-node state shrinks to its dual slots,
-//     PRNG stream, live-set bits and pooled message buffers — a few KB per
+//     dense layout (views and critical sets) through one immutable run
+//     context instead of copying critical sets and conflict maps per node.
+//     The processor topology and each item's message targets come from one
+//     scan of the edge member lists: distinct processors own distinct
+//     demands, so across processors two items conflict iff they share an
+//     edge, and the conflict test itself compares two demand slots and two
+//     short paths. Private per-node state shrinks to its dual slots, PRNG
+//     stream, live-set bits and pooled message buffers — a few KB per
 //     demand, dominated by per-neighbor outbox buckets, and reported as
 //     Result.NodeStateBytes/SharedStateBytes.
 //   - Batched round delivery: a round scheduler buckets committed outboxes

@@ -10,7 +10,7 @@ import (
 
 // runContext is the read-only state one distributed run shares across all
 // of its processor nodes: the schedule, the engine's interned dense layout
-// (items, views, conflict adjacency), and the node-level projections of it
+// (items and views), and the node-level projections of it
 // (ownership, topology, per-node edge numberings and local views). It is
 // built once per run from an engine.Prepared and never mutated afterwards,
 // so a million nodes can read it concurrently — this is what lets per-node
@@ -32,7 +32,6 @@ type runContext struct {
 
 	items []engine.Item     // shared with the Prepared; read-only
 	views []engine.ItemView // global dense views, aligned with items
-	adj   [][]int           // global conflict adjacency, rows sorted ascending
 
 	itemNode  []int32   // item id -> owning node
 	nodeItems [][]int32 // node -> own item ids, ascending
@@ -68,7 +67,6 @@ func buildContext(prep *engine.Prepared, cfg engine.Config, plan *engine.Plan, b
 		totalSteps: plan.TotalSteps(),
 		items:      items,
 		views:      prep.Views(),
-		adj:        prep.Conflicts(),
 	}
 	ctx.lastRound = ScheduleLength(ctx.totalSteps, budget) - 1
 
@@ -110,8 +108,7 @@ func buildContext(prep *engine.Prepared, cfg engine.Config, plan *engine.Plan, b
 		}
 	})
 
-	ctx.buildTopology(n)
-	ctx.buildTargets()
+	ctx.buildTopology(prep.EdgeMembers())
 	ctx.buildLocalViews(n)
 	ctx.accountShared()
 	return ctx, nil
@@ -137,81 +134,78 @@ func fillRows32(counts []int32, fill func(emit func(node int32, v int32))) [][]i
 	return rows
 }
 
-// buildTopology connects two processors iff they hold conflicting items
-// (the §2 conflict graph projected onto processors): exactly the pairs that
-// ever need to exchange draws or raise announcements. Rows are sorted and
-// deduplicated in place over one arena.
-func (ctx *runContext) buildTopology(n int) {
-	counts := make([]int, n)
-	for v := range ctx.adj {
-		a := ctx.itemNode[v]
-		for _, w := range ctx.adj[v] {
-			if ctx.itemNode[w] != a {
-				counts[a]++
+// buildTopology derives the processor topology and every item's targets
+// from the edge member lists in one scan of the incidence. Distinct
+// processors own distinct demands, so across nodes two items conflict
+// exactly when they share an edge:
+//
+//   - the targets of item x are the owners of the items on x's edges, less
+//     x's own node, deduplicated by a per-node stamp and sorted;
+//   - node a's topology row is the sorted union of its items' target sets
+//     (already sorted and distinct when a holds one item);
+//   - each target is then rewritten as its position in the owner's row,
+//     the per-neighbor outbox bucket x's draws and raises go to.
+//
+// Two processors are thus connected iff they hold conflicting items (the §2
+// conflict graph projected onto processors): exactly the pairs that ever
+// need to exchange draws or raise announcements.
+func (ctx *runContext) buildTopology(edgeMembers [][]int32) {
+	n, m := len(ctx.nodeItems), len(ctx.items)
+	stamp := make([]int32, n) // the last item whose targets took each node
+	for i := range stamp {
+		stamp[i] = -1
+	}
+	// Targets are appended node by node, each node's items in order, so
+	// item x's run ends at ends[x] and starts where the run before it ended.
+	ends := make([]int32, m)
+	arena := make([]int32, 0, m)
+	for a, own := range ctx.nodeItems {
+		for _, x := range own {
+			start := len(arena)
+			for _, e := range ctx.views[x].Edges {
+				for _, w := range edgeMembers[e] {
+					if b := ctx.itemNode[w]; b != int32(a) && stamp[b] != x {
+						stamp[b] = x
+						arena = append(arena, b)
+					}
+				}
 			}
+			slices.Sort(arena[start:])
+			ends[x] = int32(len(arena))
 		}
 	}
-	total := 0
-	for _, c := range counts {
-		total += c
-	}
-	arena := make([]int, total)
-	rows := make([][]int, n)
-	off := 0
-	for i, c := range counts {
-		rows[i] = arena[off : off : off+c]
-		off += c
-	}
-	for v := range ctx.adj {
-		a := ctx.itemNode[v]
-		for _, w := range ctx.adj[v] {
-			if b := ctx.itemNode[w]; b != a {
-				rows[a] = append(rows[a], int(b))
-			}
-		}
-	}
-	for i := range rows {
-		slices.Sort(rows[i])
-		rows[i] = slices.Compact(rows[i])
-	}
-	ctx.topology = rows
-}
 
-// buildTargets computes, per item, the sorted distinct neighbor nodes that
-// hold a conflicting item, stored as positions into the owner's topology
-// row (the per-neighbor outbox bucket the draws and raises go to).
-func (ctx *runContext) buildTargets() {
-	m := len(ctx.items)
-	lens := make([]int32, m)
-	var arena []int32
-	for v := 0; v < m; v++ {
-		a := ctx.itemNode[v]
-		start := len(arena)
-		for _, w := range ctx.adj[v] {
-			if b := ctx.itemNode[w]; b != a {
-				arena = append(arena, b)
-			}
-		}
-		seg := arena[start:]
-		slices.Sort(seg)
-		seg = slices.Compact(seg)
-		arena = arena[:start+len(seg)]
-		row := ctx.topology[a]
-		for i, b := range seg {
-			pos, ok := slices.BinarySearch(row, int(b))
-			if !ok {
-				panic("dist: conflicting neighbor missing from topology row")
-			}
-			seg[i] = int32(pos)
-		}
-		lens[v] = int32(len(seg))
-	}
+	// A row is at most its items' targets, so one arena of the targets'
+	// total holds every row.
+	rowArena := make([]int, 0, len(arena))
+	ctx.topology = make([][]int, n)
 	ctx.targets = make([][]int32, m)
-	off := 0
-	for v := range ctx.targets {
-		end := off + int(lens[v])
-		ctx.targets[v] = arena[off:end:end]
-		off = end
+	off := int32(0)
+	for a, own := range ctx.nodeItems {
+		start := len(rowArena)
+		for _, b := range arena[off:ends[own[len(own)-1]]] {
+			rowArena = append(rowArena, int(b))
+		}
+		row := rowArena[start:]
+		if len(own) > 1 {
+			slices.Sort(row)
+			row = slices.Compact(row)
+			rowArena = rowArena[:start+len(row)]
+		}
+		row = row[:len(row):len(row)]
+		ctx.topology[a] = row
+		for _, x := range own {
+			seg := arena[off:ends[x]:ends[x]]
+			off = ends[x]
+			j := 0
+			for i, b := range seg {
+				for row[j] != int(b) {
+					j++
+				}
+				seg[i] = int32(j)
+			}
+			ctx.targets[x] = seg
+		}
 	}
 }
 
@@ -297,27 +291,26 @@ func findIdx(sorted []int32, g int32) (int32, bool) {
 	return 0, false
 }
 
-// conflict reports whether items x and w conflict: binary search of x's
-// sorted global adjacency row. This replaces the per-node conflict maps of
-// the pre-compaction runtime — same predicate, zero per-node bytes.
+// conflict reports whether items x and w conflict (§2): they share a
+// demand slot or an edge. Paths are short, so a nested scan of the two
+// edge lists beats any per-node conflict set, at zero per-node bytes.
 //
 //schedvet:hot
 func (ctx *runContext) conflict(x, w int32) bool {
-	row := ctx.adj[x]
-	lo, hi := 0, len(row)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if int32(row[mid]) < w {
-			lo = mid + 1
-		} else {
-			hi = mid
+	vx, vw := &ctx.views[x], &ctx.views[w]
+	if vx.Slot == vw.Slot {
+		return true
+	}
+	for _, e := range vx.Edges {
+		if slices.Contains(vw.Edges, e) {
+			return true
 		}
 	}
-	return lo < len(row) && int32(row[lo]) == w
+	return false
 }
 
 // accountShared sums the resident bytes of the context-owned arenas (the
-// engine-owned items/views/adj are accounted to the Prepared, not here).
+// engine-owned items and views are accounted to the Prepared, not here).
 func (ctx *runContext) accountShared() {
 	b := int64(len(ctx.itemNode))*4 + int64(len(ctx.nodeOwner))*8
 	b += rowBytes32(ctx.nodeItems) + rowBytes32(ctx.targets) + rowBytes32(ctx.nodeEdges)

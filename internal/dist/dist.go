@@ -107,9 +107,9 @@ func Run(items []engine.Item, cfg engine.Config) (*Result, error) {
 // force an overrun; it is always LubyBudgetFor outside tests.
 var budgetFor = LubyBudgetFor
 
-// RunOpts is Run with an explicit driver and worker budget. It prepares
-// the items' dense layout inside the setup phase and hands it to
-// RunPrepared.
+// RunOpts is Run with explicit Options: the stepping pool's worker budget
+// and a phase recorder. It prepares the items' dense layout inside the
+// setup phase and hands it to RunPrepared.
 func RunOpts(items []engine.Item, cfg engine.Config, opts Options) (*Result, error) {
 	rec := opts.Recorder
 	var tok int64

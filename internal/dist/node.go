@@ -18,7 +18,7 @@ type raiseRec struct {
 }
 
 // node is one processor of the distributed algorithm. All shape-like state
-// (schedule, views, conflict structure, topology) lives in the shared
+// (schedule, views, topology, message targets) lives in the shared
 // read-only runContext; the node itself owns only what genuinely varies per
 // processor — its dense local dual (one α slot plus the β copies on its
 // items' paths), its splitmix64 stream, the live set of the current step,
@@ -313,8 +313,8 @@ func (n *node) sendDraws() []simnet.Message {
 // by item id — the engine's rule verbatim), performs the winners' raises
 // through the shared protocol core, and announces them. A draw received
 // for remote item w is exactly "w is live this iteration", so the
-// conjunction runs over the delivered draw entries filtered by the shared
-// adjacency — no per-node conflict sets needed. Any win clears the whole
+// conjunction runs over the delivered draw entries filtered by the conflict
+// test on the shared views — no per-node conflict sets needed. Any win clears the whole
 // live set: a node's items share its demand, so they all conflict with the
 // winner.
 //

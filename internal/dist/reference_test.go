@@ -2,6 +2,7 @@ package dist
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"treesched/internal/engine"
@@ -168,5 +169,114 @@ func FuzzNextActiveRound(f *testing.F) {
 			t.Skip()
 		}
 		runChecked(t, items, cfg)
+	})
+}
+
+// topologyRef is the adjacency-walking topology builder, kept as the
+// oracle of buildTopology: two processors are connected iff some pair of
+// their items is adjacent in adj. Rows are sorted and deduplicated.
+func (ctx *runContext) topologyRef(adj [][]int) [][]int {
+	rows := make([][]int, len(ctx.nodeItems))
+	for v := range adj {
+		a := ctx.itemNode[v]
+		for _, w := range adj[v] {
+			if b := ctx.itemNode[w]; b != a {
+				rows[a] = append(rows[a], int(b))
+			}
+		}
+	}
+	for a := range rows {
+		slices.Sort(rows[a])
+		rows[a] = slices.Compact(rows[a])
+	}
+	return rows
+}
+
+// targetsRef is the adjacency-walking targets builder, kept as the oracle
+// of buildTopology: item v's targets are the other nodes holding an item
+// adjacent to v, as ascending positions in the owner's row of topology.
+func (ctx *runContext) targetsRef(adj [][]int, topology [][]int) [][]int32 {
+	targets := make([][]int32, len(adj))
+	for v := range adj {
+		a := ctx.itemNode[v]
+		var nodes []int
+		for _, w := range adj[v] {
+			if b := ctx.itemNode[w]; b != a {
+				nodes = append(nodes, int(b))
+			}
+		}
+		slices.Sort(nodes)
+		for _, b := range slices.Compact(nodes) {
+			pos, ok := slices.BinarySearch(topology[a], b)
+			if !ok {
+				panic("dist: conflicting neighbor missing from topology row")
+			}
+			targets[v] = append(targets[v], int32(pos))
+		}
+	}
+	return targets
+}
+
+// equalRows reports whether a and b hold equal rows, an empty row equal to
+// a nil one.
+func equalRows[T comparable](a, b [][]T) bool {
+	return slices.EqualFunc(a, b, func(x, y []T) bool { return slices.Equal(x, y) })
+}
+
+// FuzzContextTopology checks the run context's incidence-derived structure
+// against the pairwise adjacency BuildConflicts returns: the processor
+// topology and every item's targets equal the adjacency-walking oracles,
+// and conflict(x, w) holds for exactly the adjacent pairs. Demands reach
+// up to three networks, so nodes own several items, in both raise modes.
+func FuzzContextTopology(f *testing.F) {
+	f.Add(int64(1), uint8(8), uint8(0), false)
+	f.Add(int64(7), uint8(20), uint8(2), false)
+	f.Add(int64(42), uint8(14), uint8(1), true)
+	f.Add(int64(1205), uint8(23), uint8(2), true)
+	f.Fuzz(func(t *testing.T, seed int64, demands, access uint8, narrow bool) {
+		wcfg := workload.TreeConfig{
+			Vertices: 14, Trees: 3, Demands: 1 + int(demands)%24, ProfitRatio: 5,
+			AccessMin: 1, AccessMax: 1 + int(access)%3,
+		}
+		cfg := engine.Config{Mode: engine.Unit, Epsilon: 0.3, Seed: seed}
+		if narrow {
+			wcfg.Heights = workload.NarrowHeights
+			wcfg.HMin = 0.2
+			cfg.Mode = engine.Narrow
+		}
+		in, err := workload.RandomTreeInstance(wcfg, rand.New(rand.NewSource(seed)))
+		if err != nil {
+			t.Skip()
+		}
+		items, err := engine.BuildTreeItems(in, engine.IdealDecomp)
+		if err != nil {
+			t.Skip()
+		}
+		plan, err := engine.PlanFor(items, &cfg)
+		if err != nil {
+			t.Skip()
+		}
+		ctx, err := buildContext(engine.Prepare(items), cfg, plan, LubyBudgetFor(len(items)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		adj := engine.BuildConflicts(items)
+		topology := ctx.topologyRef(adj)
+		if !equalRows(ctx.topology, topology) {
+			t.Fatalf("topology %v, reference %v", ctx.topology, topology)
+		}
+		if targets := ctx.targetsRef(adj, topology); !equalRows(ctx.targets, targets) {
+			t.Fatalf("targets %v, reference %v", ctx.targets, targets)
+		}
+		for x := range adj {
+			for w := range adj {
+				if w == x {
+					continue
+				}
+				if got, want := ctx.conflict(int32(x), int32(w)), slices.Contains(adj[x], w); got != want {
+					t.Fatalf("conflict(%d, %d) = %v, adjacency says %v", x, w, got, want)
+				}
+			}
+		}
 	})
 }

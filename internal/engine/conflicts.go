@@ -28,9 +28,11 @@ import "slices"
 //
 // The member lists (buildMembers) are the group → items direction of the
 // incidence. Prepared keeps them as the incremental-update index of Apply
-// and as the input of the component decomposition. The pairwise adjacency
-// survives only as a lazily built, off-solve-path view for callers that
-// need explicit neighbor lists (Prepared.Conflicts, BuildConflicts).
+// and as the input of the component decomposition, and package dist builds
+// its processor topology from the edge side (Prepared.EdgeMembers). The
+// pairwise adjacency is built only on request, for tests and measurements
+// that need explicit neighbor lists (Prepared.Conflicts, BuildConflicts);
+// no solve path and no dist run builds it.
 
 // buildMembers groups items by demand slot and by edge index: members[g] is
 // the ascending list of item ids in dense group g. Exact-sized in two passes

@@ -3,7 +3,6 @@ package engine
 import (
 	"fmt"
 	"slices"
-	"sync"
 )
 
 // This file implements the incremental re-solve path: a Prepared item set
@@ -36,8 +35,8 @@ import (
 //     member lists, by filtering (which preserves their sort order) and
 //     merging in the arrivals (whose new ids are assigned in ascending
 //     order), so no member list is ever re-sorted. The item side needs no
-//     patch at all: it is the views themselves. No pairwise adjacency is
-//     maintained; a cached one (Prepared.Conflicts) is simply dropped;
+//     patch at all: it is the views themselves, and there is no pairwise
+//     adjacency to maintain;
 //   - the lazily-built shard decomposition is marked stale, with the churn
 //     reach — every member of a group of a departed, displaced or arriving
 //     item — recorded as touched; the next ensureShards recomputes the
@@ -293,13 +292,11 @@ func (p *Prepared) Apply(d Delta) error {
 	}
 	scr.appendedD, scr.appendedE, scr.tail = appendedD, appendedE, tail
 
-	// Drop the lazy adjacency, and invalidate the lazy shard decomposition,
-	// remembering which items the churn reached so the next ensureShards
-	// can keep untouched shards. The reach is every member of a group of a
-	// departed, displaced or arriving item: exactly the items whose
-	// neighbor sets (or ids, or contents) changed.
-	p.adj = nil
-	p.adjOnce = sync.Once{}
+	// Invalidate the lazy shard decomposition, remembering which items the
+	// churn reached so the next ensureShards can keep untouched shards. The
+	// reach is every member of a group of a departed, displaced or arriving
+	// item: exactly the items whose neighbor sets (or ids, or contents)
+	// changed.
 	p.shardMu.Lock()
 	if p.shardsBuilt {
 		p.shardsStale = true

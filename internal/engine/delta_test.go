@@ -10,10 +10,10 @@ import (
 
 // The incremental-state suite: any sequence of Apply deltas must leave a
 // Prepared indistinguishable from PrepareWorkers over the same item slice —
-// identical (lazily rebuilt) conflict adjacency and components, a layout
-// that maps every item to the same external demand/edge/owner keys, member
-// lists that match a recomputation from the items, and bitwise-identical
-// solve results at every worker count.
+// identical conflict adjacency (built from the member lists) and
+// components, a layout that maps every item to the same external
+// demand/edge/owner keys, member lists that match a recomputation from the
+// items, and bitwise-identical solve results at every worker count.
 
 // deltaPoolItems builds a pool of items to churn through: a contended tree
 // instance whose items are reindexed on their way in and out of the set.
@@ -46,8 +46,8 @@ func checkAgainstScratch(t *testing.T, p *Prepared, seed int64, workers []int) {
 	t.Helper()
 	scratch := PrepareWorkers(reindex(p.items), 1)
 
-	// The lazy adjacency, rebuilt from the patched member lists (any copy
-	// cached before an Apply must have been dropped), element for element.
+	// The adjacency built from the patched member lists, element for
+	// element.
 	got, want := p.Conflicts(), scratch.Conflicts()
 	if len(got) != len(want) {
 		t.Fatalf("adjacency size %d, scratch %d", len(got), len(want))

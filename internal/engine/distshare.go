@@ -5,17 +5,22 @@ import "treesched/internal/dual"
 // This file is the read-only surface package dist shares with the engine.
 // A million-demand dist run cannot afford a private copy of every node's
 // critical sets: instead the nodes borrow the interned dense layout the
-// engine already builds once per item set (views, the lazily built
-// conflict adjacency, dual extents), and the dist coordinator reconstructs the global selection,
+// engine already builds once per item set (views, edge member lists, dual
+// extents), and the dist coordinator reconstructs the global selection,
 // dual, λ and trace by replaying the collected raise history through the
 // very same prepared layout. Everything exported here is immutable during
-// runs, so any number of nodes — goroutines or batched worker lanes — may
-// read it concurrently without synchronization.
+// runs, so any number of nodes — batched worker lanes included — may read
+// it concurrently without synchronization.
 
 // Views returns the prepared per-item dense views, aligned with Items().
 // Strictly read-only: the dist nodes alias these slices directly instead of
 // copying path/critical sets per processor.
 func (p *Prepared) Views() []ItemView { return p.lay.views }
+
+// EdgeMembers returns the edge side of the conflict incidence: element e
+// lists, ascending, the ids of the items whose path contains edge index e.
+// Strictly read-only: dist derives its processor topology from it.
+func (p *Prepared) EdgeMembers() [][]int32 { return p.edgeMembers }
 
 // DemandSlots returns the number of interned demand slots (α extent) of the
 // prepared layout.

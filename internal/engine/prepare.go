@@ -63,10 +63,9 @@ func (lay *layout) internOwner(owner int) int32 {
 
 // Prepared is an item set with its Config-independent run state: dense
 // layout, dense group member lists, and (lazily) the connected components
-// of the sharded pipeline, plus the pairwise conflict adjacency for callers
-// that ask for it. A Prepared is immutable during runs apart from the
-// lazily-built structures (guarded by shardMu and adjOnce), so it is safe
-// for concurrent Run/RunParallel calls — the property the root Solver's
+// of the sharded pipeline. A Prepared is immutable during runs apart from
+// the lazily-built components (guarded by shardMu), so it is safe for
+// concurrent Run/RunParallel calls — the property the root Solver's
 // cross-solve cache relies on. Apply (delta.go) mutates the state between
 // runs; it must never overlap a run or another Apply on the same Prepared.
 type Prepared struct {
@@ -78,11 +77,6 @@ type Prepared struct {
 	// and the component decomposition runs over.
 	demandMembers [][]int32
 	edgeMembers   [][]int32
-
-	// adj is the pairwise conflict adjacency, built on first use by
-	// Conflicts and dropped by Apply. No solve path reads it.
-	adjOnce sync.Once
-	adj     [][]int
 
 	shardMu     sync.Mutex
 	shardsBuilt bool
@@ -133,16 +127,12 @@ func PrepareWorkers(items []Item, workers int) *Prepared { return Prepare(items)
 // Items returns the prepared item set. Callers must not mutate it.
 func (p *Prepared) Items() []Item { return p.items }
 
-// Conflicts returns the pairwise conflict adjacency of the prepared items:
-// sorted, deduplicated rows, as BuildConflicts returns them. It is built
-// serially on the first call (concurrent first calls share one build) and
-// cached until the next Apply; the solve paths never call it. Callers must
-// not mutate it.
+// Conflicts builds the pairwise conflict adjacency of the prepared items
+// from their member lists: sorted, deduplicated rows, as BuildConflicts
+// returns them. Every call builds afresh and returns a slice the caller
+// owns; no solve path and no dist run calls it.
 func (p *Prepared) Conflicts() [][]int {
-	p.adjOnce.Do(func() {
-		p.adj = conflictsSerial(len(p.items), p.lay.views, p.demandMembers, p.edgeMembers, dedupEdgeGroups(p.edgeMembers))
-	})
-	return p.adj
+	return conflictsSerial(len(p.items), p.lay.views, p.demandMembers, p.edgeMembers, dedupEdgeGroups(p.edgeMembers))
 }
 
 // Run executes the serial engine over the prepared state on the calling

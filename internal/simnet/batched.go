@@ -14,7 +14,8 @@ import (
 //  1. Batched delivery: no per-node goroutines or channel handshakes.
 //     Each executed round steps the due nodes (mail in the inbox, or their
 //     own reported next-active round) on a bounded worker pool and commits
-//     the outboxes serially in ascending node order through the Transport.
+//     the outboxes serially in ascending node order into the in-memory
+//     transport (transport.go).
 //     Determinism needs nothing more: a recipient's inbox is appended per
 //     sender in ascending sender order, which is the delivery order.
 //
@@ -37,9 +38,6 @@ type BatchConfig struct {
 	// serially in ascending node order — so the worker count cannot affect
 	// results, only wall-clock.
 	Workers int
-	// Transport overrides the delivery seam; nil uses the in-process
-	// double-buffered memory transport.
-	Transport Transport
 }
 
 // RunBatched executes rounds on the batched scheduler until every node
@@ -63,10 +61,7 @@ func (nw *Network) RunBatched(maxRounds int, cfg BatchConfig) (Stats, error) {
 		ffs[i] = ff
 	}
 	comp, comps := nw.components()
-	tr := cfg.Transport
-	if tr == nil {
-		tr = NewMemTransport(nw.nbrs)
-	}
+	tr := newMemTransport(nw.nbrs)
 	sched := newCompSchedule(len(comps))
 	// Every node is due at round 0: the model's setup round steps the whole
 	// network once.

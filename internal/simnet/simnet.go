@@ -10,8 +10,8 @@
 // worker pool, which is what makes million-node networks simulable.
 // Delivery is deterministic: each recipient's inbox is appended per sender
 // in ascending sender order, which IS the (sender, emission order)
-// delivery order — no sort needed. Messages move through an explicit
-// Transport seam (transport.go). The simulator counts rounds, messages and
+// delivery order — no sort needed. Messages move through double-buffered
+// in-memory inboxes (transport.go). The simulator counts rounds, messages and
 // message sizes; local computation is free, exactly as in the model.
 package simnet
 

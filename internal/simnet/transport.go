@@ -1,41 +1,32 @@
 package simnet
 
-// Transport is the delivery seam of the simulator: it moves one round's
-// committed outboxes into the next round's inboxes. The coordinator drives
-// it strictly by round — Send enqueues a message for delivery after the next
-// Flip, Inbox exposes the messages delivered to a node in the current round,
-// and Flip advances the round boundary, recycling the buffers that were just
-// read. The driver routes every message through this interface, so a wire
-// transport between processes can replace the in-process one without
-// touching node code.
+// memTransport is the in-process delivery of the simulator: it moves one
+// round's committed outboxes into the next round's inboxes. RunBatched
+// drives it strictly by round from its coordinator goroutine — Send
+// enqueues a message for delivery after the next Flip, Inbox exposes the
+// messages delivered to a node in the current round (valid until the next
+// Flip), and Flip advances the round boundary, recycling the buffers that
+// were just read. Delivery order per recipient is the Send order, which
+// RunBatched makes (ascending sender, emission order) by committing
+// outboxes in ascending node order.
 //
-// The coordinator calls Send and Flip from a single goroutine; Inbox results
-// are valid only until the next Flip. Delivery order per recipient is the
-// Send order, which the driver guarantees is (ascending sender, emission
-// order) by committing outboxes in ascending node order.
-type Transport interface {
-	Send(m Message)
-	Inbox(node int) []Message
-	Flip()
-}
-
-// memTransport is the in-process transport: double-buffered per-recipient
-// inbox slices reused across rounds. A dirty list records which recipients
-// were touched, so a Flip clears O(touched) slices, not O(nodes) — on a
-// million-node network where only one conflict component is awake, the
-// delivery machinery costs only as much as the mail actually moving.
+// The inboxes are double-buffered per-recipient slices reused across
+// rounds. A dirty list records which recipients were touched, so a Flip
+// clears O(touched) slices, not O(nodes) — on a million-node network where
+// only one conflict component is awake, the delivery machinery costs only
+// as much as the mail actually moving.
 type memTransport struct {
 	cur, nxt           [][]Message
 	curDirty, nxtDirty []int
 }
 
-// NewMemTransport returns the in-process double-buffered transport for a
+// newMemTransport returns the in-process double-buffered transport for a
 // network with the given topology. Each recipient's row in both buffers is
 // presized to its in-degree and carved from one arena per buffer: a round
 // in which every neighbor sends once — the setup broadcast — fills the rows
 // without growing them. A sender that sends a recipient more than one
 // message in a round still works; that row grows by append.
-func NewMemTransport(topology [][]int) Transport {
+func newMemTransport(topology [][]int) *memTransport {
 	n := len(topology)
 	t := &memTransport{cur: make([][]Message, n), nxt: make([][]Message, n)}
 	indeg := make([]int, n)

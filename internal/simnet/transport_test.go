@@ -10,7 +10,7 @@ import (
 // without writing into the next recipient's row, which is carved from the
 // same arena, and both inboxes must keep send order.
 func TestMemTransportPastInDegree(t *testing.T) {
-	tr := NewMemTransport([][]int{{1, 2}, {0}, {0}})
+	tr := newMemTransport([][]int{{1, 2}, {0}, {0}})
 	for r := 0; r < 2; r++ {
 		// Node 2's row follows node 1's: fill it first, so an overflowing
 		// row 1 would overwrite it.
